@@ -1,4 +1,4 @@
-"""The doubly-linked-list benchmark suite (DESIGN.md §15).
+"""The doubly-linked-list benchmark suite (DESIGN.md §14).
 
 Five DLL idioms written in LISL with ``prev`` stores/loads, exercised the
 same way the Table 1 harness exercises the paper's singly-linked suite:

@@ -1,7 +1,7 @@
 """The checker driver: run both tiers over a program, collect a report.
 
 This is the single entry point everything else wraps -- the ``repro-lint``
-CLI, the service daemon's ``check`` verb, the fuzz cross-check and the
+CLI, the server's ``check`` verb, the fuzz cross-check and the
 benchmarks all call :func:`check_program` / :func:`check_source` and
 consume the resulting :class:`CheckReport`.
 """

@@ -4,7 +4,7 @@ Each rule is a pluggable entry in :data:`LINT_RULES` -- a stable id, a
 one-line description, and a pure function ``(LintContext) -> findings``.
 Rules never run the abstract interpreter and never mutate the CFG; the
 whole tier runs in microseconds per procedure, which is what lets the
-service daemon re-lint on every keystroke-grade update.
+analysis server re-lint on every keystroke-grade update.
 
 Normalizer artifacts are handled once, here: compiler temporaries
 (``$a``/``$c``) are exempt from reporting, and protected formals

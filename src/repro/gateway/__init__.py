@@ -1,10 +1,10 @@
-"""Async multi-tenant analysis gateway (the serving tier).
+"""The serving tier: an async multi-tenant analysis gateway.
 
-The PR 4 daemon (:mod:`repro.service.server`) is one thread-per-
-connection process with a single global bounded queue — fine for one
-user, fatal under heavy multi-tenant traffic: a greedy client fills the
-global queue and every other client sees ``queue_full``.  This package
-is the serving-stack answer, built from four pieces:
+One asyncio process serves every client; a client that names no tenant
+is the ``default`` tenant, so the default config is also the
+single-user server.  Verb execution lives in
+:mod:`repro.service.executor`; this package adds what serving many
+clients needs:
 
 - :mod:`repro.gateway.scheduler` — per-tenant weighted-fair admission:
   bounded per-tenant queues, start-time fair queuing across tenants,
@@ -14,14 +14,13 @@ is the serving-stack answer, built from four pieces:
 - :mod:`repro.gateway.storetier` — a compacting, size-budgeted wrapper
   around the one-file-per-key PR 3 store (generational pack files +
   background GC) so the layout survives millions of keys;
-- :mod:`repro.gateway.server` — the asyncio front end speaking the PR 4
-  NDJSON protocol plus a ``metrics`` verb and an HTTP-ish ``GET
-  /metrics`` endpoint in Prometheus exposition format
+- :mod:`repro.gateway.server` — the asyncio front end speaking the
+  NDJSON protocol of :mod:`repro.service.protocol` plus an HTTP-ish
+  ``GET /metrics`` endpoint in Prometheus exposition format
   (:mod:`repro.gateway.metrics`).
 
-``repro-gateway`` (:mod:`repro.gateway.__main__`) is the recommended
-entry point for serving more than one client; ``repro-serve`` remains
-for single-user use.
+``python -m repro.gateway`` / ``repro-gateway`` run the same CLI as
+``python -m repro.service`` / ``repro-serve``.
 """
 
 from repro.gateway.scheduler import FairScheduler, SchedulerConfig, Shed

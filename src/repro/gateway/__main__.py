@@ -1,238 +1,9 @@
-"""Gateway CLI: ``python -m repro.gateway <command>`` (also ``repro-gateway``).
+"""``python -m repro.gateway`` (also ``repro-gateway``): the serving CLI
+of :mod:`repro.service.__main__`, under the gateway's name."""
 
-Commands::
-
-    serve     start the multi-tenant gateway
-    submit    submit one program as a tenant (analyze / check / asserts)
-    status    print gateway status (tenants, sessions, store, queue)
-    metrics   print the Prometheus exposition text
-    flush     drop a tenant's retained session outputs
-    shutdown  drain and stop the gateway
-
-Examples::
-
-    # gateway with 4 dispatch workers, isolated jobs, a 64 MiB store
-    python -m repro.gateway serve --tcp 127.0.0.1:7341 --workers 4 --jobs 1 \\
-        --store .stores/gw --max-store-bytes 67108864 --weight paid=4
-
-    # two tenants share the gateway; each keeps its own warm session
-    python -m repro.gateway submit prog.lisl --tenant alice --addr 127.0.0.1:7341
-    python -m repro.gateway submit prog.lisl --tenant bob --deadline-ms 2000
-
-    # scrape (same text as `curl http://127.0.0.1:7341/metrics`)
-    python -m repro.gateway metrics --addr 127.0.0.1:7341
-"""
-
-from __future__ import annotations
-
-import argparse
-import asyncio
-import json
 import sys
-from typing import Dict, List, Optional
 
-from repro.gateway.server import AnalysisGateway, GatewayConfig
-from repro.service.client import ServiceClient, ServiceError, parse_address
-
-
-def _add_addr(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument(
-        "--addr",
-        type=str,
-        default="127.0.0.1:7341",
-        help="gateway address: host:port or a Unix socket path",
-    )
-
-
-def _connect(args) -> ServiceClient:
-    return ServiceClient.connect(parse_address(args.addr))
-
-
-def _parse_weights(specs: List[str]) -> Dict[str, float]:
-    weights: Dict[str, float] = {}
-    for spec in specs:
-        name, sep, value = spec.partition("=")
-        if not sep:
-            raise SystemExit(f"--weight wants tenant=weight, got {spec!r}")
-        weights[name] = float(value)
-    return weights
-
-
-def cmd_serve(args) -> int:
-    address = parse_address(args.tcp) if args.tcp else None
-    config = GatewayConfig(
-        host=address[0] if isinstance(address, tuple) else "127.0.0.1",
-        port=address[1] if isinstance(address, tuple) else 0,
-        socket_path=args.unix,
-        workers=args.workers,
-        jobs=args.jobs,
-        store_dir=args.store,
-        max_store_bytes=args.max_store_bytes,
-        max_sessions=args.max_sessions,
-        tenant_queue_limit=args.tenant_queue_limit,
-        tenant_weights=_parse_weights(args.weight),
-        default_max_seconds=args.budget,
-        default_deadline_s=args.deadline,
-    )
-    gateway = AnalysisGateway(config)
-
-    async def run() -> None:
-        await gateway.start()
-        kind, where = gateway.address
-        print(f"repro gateway listening on {kind}:{where}", flush=True)
-        await gateway.serve_forever()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    print("repro gateway stopped", flush=True)
-    return 0
-
-
-def cmd_submit(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    common = dict(
-        tenant=args.tenant,
-        deadline_ms=args.deadline_ms,
-        max_seconds=args.budget,
-    )
-    with _connect(args) as client:
-        if args.check:
-            response = client.check(
-                source,
-                tier=args.tier,
-                program_id=args.program_id or args.file,
-                **common,
-            )
-        elif args.check_asserts:
-            response = client.check_asserts(source, **common)
-        else:
-            response = client.analyze(
-                source,
-                domains=tuple(args.domains.split(",")),
-                k=args.k,
-                program_id=args.program_id or args.file,
-                **common,
-            )
-    print(json.dumps(response, indent=2, default=repr))
-    if not response.get("ok"):
-        error = response.get("error", {})
-        if error.get("retry_after_ms") is not None:
-            print(
-                f"shed [{error.get('kind')}]: retry after "
-                f"{error['retry_after_ms']} ms",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
-
-
-def cmd_status(args) -> int:
-    with _connect(args) as client:
-        response = client.status()
-    print(json.dumps(response.get("result", response), indent=2, default=repr))
-    return 0 if response.get("ok") else 1
-
-
-def cmd_metrics(args) -> int:
-    with _connect(args) as client:
-        sys.stdout.write(client.metrics())
-    return 0
-
-
-def cmd_flush(args) -> int:
-    with _connect(args) as client:
-        response = client.flush(args.program_id, tenant=args.tenant)
-    print(json.dumps(response, indent=2, default=repr))
-    return 0 if response.get("ok") else 1
-
-
-def cmd_shutdown(args) -> int:
-    with _connect(args) as client:
-        response = client.shutdown()
-    print(json.dumps(response, indent=2, default=repr))
-    return 0 if response.get("ok") else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="repro-gateway",
-        description="async multi-tenant analysis gateway",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    serve = sub.add_parser("serve", help="start the gateway")
-    serve.add_argument("--tcp", type=str, default="127.0.0.1:7341",
-                       help="TCP listen address host:port")
-    serve.add_argument("--unix", type=str, default=None,
-                       help="Unix socket path (wins over --tcp)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent dispatch workers")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="pool worker processes per job (0 = inline)")
-    serve.add_argument("--store", type=str, default=None,
-                       help="shared persistent summary store directory")
-    serve.add_argument("--max-store-bytes", type=int, default=None,
-                       help="store byte budget (GC evicts above this)")
-    serve.add_argument("--max-sessions", type=int, default=64,
-                       help="LRU bound on resident tenant sessions")
-    serve.add_argument("--tenant-queue-limit", type=int, default=8,
-                       help="pending requests per tenant before shedding")
-    serve.add_argument("--weight", action="append", default=[],
-                       metavar="TENANT=W",
-                       help="tenant weight (repeatable; default 1.0)")
-    serve.add_argument("--budget", type=float, default=None,
-                       help="default per-request wall budget (seconds)")
-    serve.add_argument("--deadline", type=float, default=None,
-                       help="default per-request deadline (seconds)")
-    serve.set_defaults(fn=cmd_serve)
-
-    submit = sub.add_parser("submit", help="submit a program as a tenant")
-    submit.add_argument("file", help="LISL program file")
-    _add_addr(submit)
-    submit.add_argument("--tenant", type=str, default=None,
-                        help="tenant id (default: the gateway default)")
-    submit.add_argument("--deadline-ms", type=int, default=None,
-                        help="request deadline in milliseconds")
-    submit.add_argument("--budget", type=float, default=None,
-                        help="per-request wall budget (seconds)")
-    submit.add_argument("--domains", type=str, default="am",
-                        help="comma-separated domains (am, au)")
-    submit.add_argument("--k", type=int, default=0, help="fold bound k")
-    submit.add_argument("--program-id", type=str, default=None,
-                        help="session id (default: the file path)")
-    submit.add_argument("--check", action="store_true",
-                        help="run the two-tier lint/safety checker")
-    submit.add_argument("--check-asserts", action="store_true",
-                        help="run assertion checking instead of summaries")
-    submit.add_argument("--tier", choices=("lint", "safety", "all"),
-                        default="all", help="checker tier(s) for --check")
-    submit.set_defaults(fn=cmd_submit)
-
-    for name, fn in (("status", cmd_status), ("metrics", cmd_metrics),
-                     ("shutdown", cmd_shutdown)):
-        cp = sub.add_parser(name, help=f"{name} the gateway")
-        _add_addr(cp)
-        cp.set_defaults(fn=fn)
-
-    flush = sub.add_parser("flush", help="drop retained session outputs")
-    _add_addr(flush)
-    flush.add_argument("--tenant", type=str, default=None)
-    flush.add_argument("--program-id", type=str, default=None)
-    flush.set_defaults(fn=cmd_flush)
-
-    args = ap.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ServiceError as exc:
-        print(f"gateway error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+from repro.service.__main__ import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,4 @@
-"""Prometheus exposition of the gateway's (and daemon's) telemetry.
+"""Prometheus exposition of the gateway's telemetry.
 
 :func:`render_prometheus` turns a :class:`repro.engine.telemetry.
 Telemetry` instance into `text exposition format 0.0.4

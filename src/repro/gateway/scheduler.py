@@ -1,8 +1,8 @@
 """Per-tenant weighted-fair admission control for the gateway.
 
-The daemon's single global bounded queue lets one greedy client starve
-everyone: once its requests fill the queue, every tenant sees
-``queue_full``.  This scheduler replaces it with:
+A single global bounded queue would let one greedy client starve
+everyone: once its requests fill the queue, every tenant is rejected.
+This scheduler avoids that with:
 
 - **bounded per-tenant queues** — a flooding tenant only ever fills its
   *own* queue and is shed with a ``retry_after_ms`` hint (a ``429``,

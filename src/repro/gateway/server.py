@@ -1,21 +1,26 @@
-"""The asyncio multi-tenant analysis gateway.
+"""The analysis server: an asyncio multi-tenant gateway.
 
 Architecture::
 
     asyncio event loop (one process)
-        ├─ connection tasks: read NDJSON lines (same wire protocol as
-        │    the PR 4 daemon) — or answer an HTTP ``GET /metrics`` scrape
+        ├─ connection tasks: read NDJSON lines (:mod:`repro.service.protocol`)
+        │    — or answer an HTTP ``GET /metrics`` scrape
         │    ├─ control verbs (ping/status/metrics/flush/shutdown): inline
         │    └─ job verbs: admission through the per-tenant FairScheduler
         │         (bounded tenant queues; full -> ``shed`` + retry_after)
         ├─ N dispatch workers: pop the globally fairest request, run it
-        │    on an executor thread (inline jobs=0, or the PR 3
-        │    fault-isolated process pool), reply on the request's socket
+        │    through the VerbExecutor on an executor thread, reply on the
+        │    request's socket
         └─ maintenance task: store compaction + byte-budget GC
 
     tenant state
         ├─ sessions: (tenant, program_id) -> incremental Session, LRU
-        └─ check cache: shared CheckFindingCache keyed per tenant/program
+        └─ check cache: CheckFindingCache keyed per tenant/program
+
+This module keeps admission, fair dispatch, transport and maintenance;
+executing a verb is :mod:`repro.service.executor`'s job.  A client that
+sends no ``tenant`` is the ``default`` tenant, so the default config
+serves a single user as well as many.
 
 Fairness: admission stamps each request with a start-time-fair-queuing
 virtual tag; dispatch always takes the smallest tag, so a light tenant's
@@ -24,11 +29,6 @@ by in-flight work, not by the flood's queue depth.  Deadlines: a request
 can carry ``deadline_ms``; whatever remains at dispatch time becomes the
 worker pool's cooperative budget *and* its hard-kill budget, so a
 request can never hold a worker past its deadline plus the grace.
-
-Fault containment is inherited from the PR 3/4 layers: jobs run in
-worker processes (``jobs >= 1``), so a SIGKILLed worker or a hard budget
-kill is a structured error on one request while the gateway, its
-sessions, and the store stay intact.
 """
 
 from __future__ import annotations
@@ -49,32 +49,24 @@ from repro.gateway.sessions import SessionManager
 from repro.gateway.storetier import CompactingStore, StoreBudget
 from repro.service import diagnostics as D
 from repro.service import protocol as P
-from repro.service.checkcache import CheckFindingCache
-from repro.service.jobs import (
-    AssertRequest,
-    CheckRequest,
-    EquivalenceRequest,
-    run_assert_request,
-    run_check_request,
-    run_equivalence_request,
-)
+from repro.service.executor import VerbExecutor
 
 DEFAULT_TENANT = "default"
+COMPACT_MIN_LOOSE = 256  # loose store files that trigger a pack compaction
+MAINTENANCE_INTERVAL_S = 5.0  # seconds between store maintenance passes
 
 
 @dataclass
 class GatewayConfig:
-    """Gateway knobs; ``socket_path`` (Unix) wins over host/port (TCP)."""
+    """Server knobs; ``socket_path`` (Unix) wins over host/port (TCP)."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port off gateway.address
     socket_path: Optional[str] = None
     workers: int = 2  # concurrent dispatches (executor threads)
-    jobs: int = 0  # worker processes per job; 0 = inline (test mode)
+    jobs: int = 1  # worker processes per job; 0 = inline (test mode)
     store_dir: Optional[str] = None  # shared persistent summary store
     max_store_bytes: Optional[int] = None  # GC budget; None = unbounded
-    compact_min_loose: int = 256
-    maintenance_interval: float = 5.0  # seconds between store maintenance
     max_sessions: int = 64  # LRU bound on resident tenant sessions
     tenant_queue_limit: int = 8
     tenant_weights: Dict[str, float] = field(default_factory=dict)
@@ -114,7 +106,7 @@ class AnalysisGateway:
             store_dir,
             budget=StoreBudget(
                 max_bytes=self.config.max_store_bytes,
-                compact_min_loose=self.config.compact_min_loose,
+                compact_min_loose=COMPACT_MIN_LOOSE,
             ),
         )
         self.sessions = SessionManager(
@@ -123,8 +115,13 @@ class AnalysisGateway:
             jobs=self.config.jobs,
             max_seconds=self.config.default_max_seconds,
         )
-        self._check_cache = CheckFindingCache()
-        self._executor = concurrent.futures.ThreadPoolExecutor(
+        self.executor = VerbExecutor(
+            self.sessions,
+            self.telemetry,
+            jobs=self.config.jobs,
+            hard_grace=self.config.hard_grace,
+        )
+        self._threads = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-gateway",
         )
@@ -192,7 +189,7 @@ class AnalysisGateway:
                 os.unlink(self.address[1])
             except OSError:
                 pass
-        self._executor.shutdown(wait=True)
+        self._threads.shutdown(wait=True)
         self.sessions.close()
         self.store.maintain()
         if self._tmp is not None:
@@ -382,6 +379,15 @@ class AnalysisGateway:
 
     # -- dispatch ----------------------------------------------------------------
 
+    def _effective_budget(
+        self, request: Dict[str, Any], remaining: Optional[float]
+    ) -> Optional[float]:
+        """min(request max_seconds, remaining deadline, config default)."""
+        budget = request.get("max_seconds", self.config.default_max_seconds)
+        if remaining is not None:
+            budget = remaining if budget is None else min(budget, remaining)
+        return budget
+
     async def _dispatch_worker(self, worker_id: int) -> None:
         loop = asyncio.get_event_loop()
         while True:
@@ -415,7 +421,12 @@ class AnalysisGateway:
             start = time.monotonic()
             try:
                 message = await loop.run_in_executor(
-                    self._executor, self._execute, job, remaining
+                    self._threads,
+                    self.executor.execute,
+                    job.request,
+                    job.verb,
+                    job.tenant,
+                    self._effective_budget(job.request, remaining),
                 )
             except Exception as exc:  # never let a job kill the worker
                 self.telemetry.count("requests.internal_error")
@@ -435,308 +446,6 @@ class AnalysisGateway:
             self.telemetry.count(f"served.tenant.{job.tenant}")
             self.telemetry.gauge("queue.depth", self.scheduler.depth())
             await self._send(job.writer, job.wlock, message)
-
-    # -- job execution (executor threads) ----------------------------------------
-
-    def _effective_budget(
-        self, request: Dict[str, Any], remaining: Optional[float]
-    ) -> Optional[float]:
-        """min(request max_seconds, remaining deadline, config default)."""
-        budget = request.get("max_seconds", self.config.default_max_seconds)
-        if remaining is not None:
-            budget = remaining if budget is None else min(budget, remaining)
-        return budget
-
-    def _parse(self, source: str):
-        from repro.lang.normalize import normalize_program
-        from repro.lang.parser import parse_program
-        from repro.lang.typecheck import typecheck_program
-
-        return normalize_program(typecheck_program(parse_program(source)))
-
-    def _execute(
-        self, job: _GatewayJob, remaining: Optional[float]
-    ) -> Dict[str, Any]:
-        request, verb = job.request, job.verb
-        try:
-            program = self._parse(request["source"])
-        except Exception as exc:
-            self.telemetry.count("requests.parse_error")
-            return P.error_response(
-                request, P.E_BAD_REQUEST, f"source does not parse: {exc}", verb
-            )
-        budget = self._effective_budget(request, remaining)
-        if verb == "analyze":
-            return self._execute_analyze(job, program, budget)
-        if verb == "check":
-            return self._execute_check(job, program, budget)
-        if verb == "assert":
-            payload = AssertRequest(
-                program=program,
-                procs=tuple(request.get("procs") or ()),
-                domain=request.get("domain", "au"),
-                k=int(request.get("k", 0)),
-                max_seconds=budget,
-            )
-            return self._run_pool_task(
-                request, verb, run_assert_request, payload, budget
-            )
-        if verb == "equivalence":
-            payload = EquivalenceRequest(
-                program=program,
-                proc1=request["proc1"],
-                proc2=request["proc2"],
-                max_seconds=budget,
-            )
-            return self._run_pool_task(
-                request, verb, run_equivalence_request, payload, budget
-            )
-        raise P.ProtocolError(f"unhandled job verb {verb!r}")
-
-    def _execute_analyze(
-        self, job: _GatewayJob, program, budget: Optional[float]
-    ) -> Dict[str, Any]:
-        request = job.request
-        program_id = str(request.get("program_id", "default"))
-        session, lock, _, evicted = self.sessions.acquire(
-            job.tenant, program_id, program
-        )
-        if evicted:
-            self.telemetry.count("sessions.evicted")
-        with lock:
-            delta = SessionManager.update_if_changed(session, program)
-            report = session.analyze(
-                procs=request.get("procs"),
-                domains=tuple(request.get("domains") or ("am",)),
-                k=int(request.get("k", 0)),
-                max_seconds=budget,
-            )
-        self.telemetry.gauge("sessions.resident", len(self.sessions))
-        records: List[D.DiagnosticRecord] = []
-        for task_id, error in sorted(report.errors.items()):
-            records.append(
-                D.from_task_error(
-                    error["status"],
-                    error.get("error"),
-                    proc=task_id.rsplit(".", 1)[0],
-                )
-            )
-        for task_id, output in sorted(report.outputs.items()):
-            if task_id in report.errors:
-                continue  # already encoded from the task-level error
-            records.extend(
-                D.from_engine_diagnostics(output.diagnostics, proc=output.proc)
-            )
-        self.telemetry.gauge(
-            "analyze.dirty_cone", len(report.incremental["dirty_cone"])
-        )
-        self.telemetry.count("analyze.tasks", len(report.analyzed))
-        self.telemetry.count("analyze.reused", len(report.reused))
-        result = {
-            "tenant": job.tenant,
-            "program_id": program_id,
-            "summary_hashes": report.summary_hashes(),
-            "incremental": report.incremental,
-            "diagnostics": D.run_envelope(records),
-            "ok": report.ok,
-        }
-        if delta is not None:
-            result["delta"] = {
-                "changed": sorted(delta.changed),
-                "dirty": sorted(delta.dirty),
-                "clean": sorted(delta.clean),
-                "added": sorted(delta.added),
-                "removed": sorted(delta.removed),
-            }
-        telemetry = {
-            "wall_s": round(report.wall_time, 6),
-            "reused": len(report.reused),
-            "analyzed": len(report.analyzed),
-            "dirty_cone": len(report.incremental["dirty_cone"]),
-        }
-        if report.ok:
-            return P.response(request, "analyze", result, telemetry)
-        statuses = {err["status"] for err in report.errors.values()}
-        kind = statuses.pop() if len(statuses) == 1 else P.E_INTERNAL
-        out = P.error_response(
-            request,
-            kind,
-            "; ".join(
-                f"{tid}: {err['status']}"
-                for tid, err in sorted(report.errors.items())
-            ),
-            "analyze",
-            diagnostics=D.run_envelope(records),
-        )
-        out["result"] = result
-        out["telemetry"] = telemetry
-        return out
-
-    def _execute_check(
-        self, job: _GatewayJob, program, budget: Optional[float]
-    ) -> Dict[str, Any]:
-        """The ``check`` verb with warm per-proc reuse; findings are
-        cached per ``tenant/program_id`` via the shared
-        :class:`CheckFindingCache` (identical invalidation keys to the
-        single-process daemon).  A ``query`` field switches to the
-        demand path (one obligation, backward-cone analysis, cached
-        answer -- see :mod:`repro.service.queries`)."""
-        request = job.request
-        program_id = str(request.get("program_id", "default"))
-        cache_id = f"{job.tenant}/{program_id}"
-        if request.get("query") is not None:
-            from repro.service.jobs import run_query_request
-            from repro.service.queries import execute_query
-
-            return execute_query(
-                self._check_cache,
-                self.telemetry,
-                request,
-                program,
-                budget,
-                lambda payload: self._run_pool_task(
-                    request, "check", run_query_request, payload, budget,
-                    raw_result=True,
-                ),
-                cache_id=cache_id,
-                extra={"tenant": job.tenant},
-            )
-        tier = str(request.get("tier", "all"))
-        if tier not in ("lint", "safety", "termination", "all"):
-            return P.error_response(
-                request, P.E_BAD_REQUEST, f"unknown tier {tier!r}", "check"
-            )
-        domain = str(request.get("domain", "am"))
-        k = int(request.get("k", 0))
-        from repro.lang.cfg import build_icfg
-        from repro.service.depindex import DependencyIndex
-
-        icfg = build_icfg(program)
-        index = DependencyIndex.build(icfg)
-        requested = list(request.get("procs") or sorted(index.bodies))
-        unknown = [p for p in requested if p not in index.bodies]
-        if unknown:
-            return P.error_response(
-                request,
-                P.E_BAD_REQUEST,
-                f"unknown procedure(s): {', '.join(sorted(unknown))}",
-                "check",
-            )
-        want_lint = tier in ("lint", "all")
-        want_safety = tier in ("safety", "all")
-        want_termination = tier == "termination"
-        keys = CheckFindingCache.keys_for(program, icfg, index)
-        dirty = self._check_cache.partition(
-            cache_id, (tier, domain, k), requested, keys,
-            want_lint, want_safety, want_termination,
-        )
-        reused = [p for p in requested if p not in set(dirty)]
-        fresh: Dict[str, Any] = {"lint": {}, "safety": {}, "termination": {},
-                                 "proc_status": {}, "termination_status": {},
-                                 "stats": {}}
-        telemetry: Dict[str, Any] = {"isolation": "warm"}
-        if dirty:
-            payload = CheckRequest(
-                program=program,
-                procs=tuple(dirty),
-                tier=tier,
-                domain=domain,
-                k=k,
-                max_seconds=budget,
-            )
-            if self.config.jobs == 0:
-                fresh = run_check_request(payload)
-                telemetry["isolation"] = "inline"
-            else:
-                out = self._run_pool_task(
-                    request, "check", run_check_request, payload, budget,
-                    raw_result=True,
-                )
-                if isinstance(out, dict) and out.get("ok") is False:
-                    return out  # structured pool-level error
-                fresh = out
-                telemetry["isolation"] = "pool"
-        records, proc_status = self._check_cache.merge_and_answer(
-            cache_id, requested, dirty, keys, fresh,
-            want_lint, want_safety, want_termination,
-        )
-        for record in records:
-            self.telemetry.count(f"checker.rule.{record['ruleId']}")
-        self.telemetry.count("check.procs_checked", len(dirty))
-        self.telemetry.count("check.procs_reused", len(reused))
-        stats = dict(fresh.get("stats") or {})
-        stats["checked"] = sorted(dirty)
-        stats["reused"] = sorted(reused)
-        ok = not any(
-            r["verdict"]
-            in (D.WARN, D.UNSAFE, D.POSSIBLY_NONTERMINATING, D.ERROR)
-            for r in records
-        )
-        result = {
-            "tenant": job.tenant,
-            "program_id": program_id,
-            "tier": tier,
-            "domain": domain,
-            "ok": ok,
-            "checked": sorted(dirty),
-            "reused": sorted(reused),
-            "proc_status": proc_status,
-            "diagnostics": D.records_envelope(records, stats),
-        }
-        telemetry.update(checked=len(dirty), reused=len(reused))
-        return P.response(request, "check", result, telemetry)
-
-    def _run_pool_task(
-        self,
-        request: Dict[str, Any],
-        verb: str,
-        fn,
-        payload,
-        budget: Optional[float],
-        raw_result: bool = False,
-    ):
-        """One fault-isolated job on the PR 3 pool (``jobs >= 1``) or
-        inline (``jobs == 0``).  The request deadline's remaining time is
-        the pool budget, so the hard SIGTERM/SIGKILL backstop fires at
-        ``deadline + hard_grace`` at the latest."""
-        if self.config.jobs == 0:
-            result = fn(payload)
-            if raw_result:
-                return result
-            return P.response(request, verb, result, {"isolation": "inline"})
-        from repro.parallel.pool import OK, PoolTask, WorkerPool
-
-        pool = WorkerPool(jobs=1, hard_grace=self.config.hard_grace)
-        (outcome,) = pool.run(
-            [
-                PoolTask(
-                    task_id=verb,
-                    fn=fn,
-                    args=(payload,),
-                    budget=budget,
-                )
-            ]
-        )
-        telemetry = {
-            "isolation": "pool",
-            "wall_s": round(outcome.wall_time, 6),
-            "retries": outcome.retries,
-        }
-        if outcome.status == OK:
-            if raw_result:
-                return outcome.result
-            return P.response(request, verb, outcome.result, telemetry)
-        self.telemetry.count(f"requests.{verb}.{outcome.status}")
-        record = D.from_task_error(outcome.status, outcome.error)
-        out = P.error_response(
-            request,
-            outcome.status,
-            (outcome.error or {}).get("message", f"task {outcome.status}"),
-            verb,
-            diagnostics=D.run_envelope([record]),
-        )
-        out["telemetry"] = telemetry
-        return out
 
     # -- control verbs -----------------------------------------------------------
 
@@ -779,17 +488,11 @@ class AnalysisGateway:
                 },
             )
         if verb == "flush":
-            tenant = request.get("tenant")
-            dropped = self.sessions.flush(str(tenant) if tenant else None)
-            if tenant:
-                # Drop this tenant's finding caches (ids are tenant/prefixed).
-                program_id = request.get("program_id")
-                if program_id is not None:
-                    dropped += self._check_cache.flush(f"{tenant}/{program_id}")
-                else:
-                    dropped += self._check_cache.flush(None)
-            else:
-                dropped += self._check_cache.flush(None)
+            tenant, program_id = request.get("tenant"), request.get("program_id")
+            dropped = self.executor.flush(
+                str(tenant) if tenant else None,
+                None if program_id is None else str(program_id),
+            )
             return P.response(request, verb, {"dropped": dropped})
         if verb == "shutdown":
             asyncio.ensure_future(self.stop())
@@ -801,10 +504,9 @@ class AnalysisGateway:
     async def _maintenance_loop(self) -> None:
         """Background store compaction + GC, off the request path."""
         loop = asyncio.get_event_loop()
-        interval = max(0.25, self.config.maintenance_interval)
         while not self._draining:
             try:
-                await asyncio.sleep(interval)
+                await asyncio.sleep(MAINTENANCE_INTERVAL_S)
                 report = await loop.run_in_executor(None, self.store.maintain)
                 if report["compacted"]:
                     self.telemetry.count(

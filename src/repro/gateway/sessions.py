@@ -53,14 +53,14 @@ class SessionManager:
 
     def acquire(
         self, tenant: str, program_id: str, program
-    ) -> Tuple[Session, threading.Lock, Optional[Any], bool]:
-        """The session for ``(tenant, program_id)``, created or updated
-        to ``program``; returns ``(session, session_lock, dirty-cone
-        delta or None, evicted_any)``.
+    ) -> Tuple[Session, threading.Lock, bool]:
+        """The session for ``(tenant, program_id)``, created from
+        ``program`` when not resident; returns ``(session, session_lock,
+        evicted_any)``.
 
-        The delta is computed under the session lock by the caller-side
-        helper :meth:`update_if_changed` — this method only resolves
-        residency (LRU touch, create, evict).
+        This method only resolves residency (LRU touch, create, evict);
+        the caller brings the session up to date with
+        :meth:`update_if_changed` under the session lock.
         """
         key = (tenant, program_id)
         evicted = False
@@ -68,7 +68,7 @@ class SessionManager:
             entry = self._sessions.get(key)
             if entry is not None:
                 self._sessions.move_to_end(key)
-                return entry[0], entry[1], None, False
+                return entry[0], entry[1], False
             while len(self._sessions) >= self.max_sessions:
                 _, (old, old_lock) = self._sessions.popitem(last=False)
                 # Close under the session lock: an in-flight request on
@@ -86,7 +86,7 @@ class SessionManager:
             )
             lock = threading.Lock()
             self._sessions[key] = (session, lock)
-        return session, lock, None, evicted
+        return session, lock, evicted
 
     @staticmethod
     def update_if_changed(session: Session, program) -> Optional[Any]:
@@ -104,15 +104,18 @@ class SessionManager:
 
     # -- maintenance -------------------------------------------------------------
 
-    def flush(self, tenant: Optional[str] = None) -> int:
-        """Drop retained outputs of one tenant's sessions (or all);
-        returns the dropped-entry count.  Sessions stay resident."""
+    def flush(
+        self, tenant: Optional[str] = None, program_id: Optional[str] = None
+    ) -> int:
+        """Drop retained outputs of the sessions that match both filters
+        (``None`` matches any); returns the dropped-entry count.
+        Sessions stay resident."""
         dropped = 0
         with self._lock:
             entries = [
                 entry
                 for key, entry in self._sessions.items()
-                if tenant is None or key[0] == tenant
+                if tenant in (None, key[0]) and program_id in (None, key[1])
             ]
         for session, lock in entries:
             with lock:

@@ -9,18 +9,13 @@ This package provides the numeric layer the paper obtains from APRON:
 - :mod:`repro.numeric.polyhedra` -- a conjunction-of-linear-constraints
   domain ("polyhedra-lite") with meet, weak join, entailment, projection
   (Fourier-Motzkin), renaming, assignment and widening.
-- :mod:`repro.numeric.intervals` -- a light interval domain used in tests
-  and ablation benchmarks.
 """
 
 from repro.numeric.linexpr import LinExpr, Constraint
 from repro.numeric.polyhedra import Polyhedron
-from repro.numeric.intervals import Interval, IntervalEnv
 
 __all__ = [
     "LinExpr",
     "Constraint",
     "Polyhedron",
-    "Interval",
-    "IntervalEnv",
 ]

@@ -27,7 +27,7 @@ def _frac(value: Coeff):
     and hashes/compares equal to the same-valued Fraction -- while its
     add/mul skip Fraction's per-operation gcd normalization.  The few
     true divisions over coefficient values coerce their operands
-    explicitly (see intervals/multiset/simplex).
+    explicitly (see multiset/simplex).
     """
     return value if isinstance(value, (Fraction, int)) else Fraction(value)
 

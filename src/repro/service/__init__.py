@@ -2,7 +2,7 @@
 
 PR 3 made many analyses cheap to *run* (the parallel pool and the
 cross-run persistent store); this package makes them cheap to *re-run*:
-a resident daemon keeps a dependency-tracked picture of each submitted
+a resident server keeps a dependency-tracked picture of each submitted
 program warm, so an edit re-analyzes exactly the call-graph cone above
 the changed SCCs and answers everything else from retained results.
 
@@ -13,33 +13,32 @@ the changed SCCs and answers everything else from retained results.
   driver (also reachable as ``Analyzer.open_session()``): cold runs
   populate the store, warm runs dispatch only the dirty cone and are
   asserted hash-identical to cold runs;
-- :mod:`repro.service.protocol` / :mod:`~repro.service.server` /
-  :mod:`~repro.service.client` — newline-delimited JSON over a TCP or
-  Unix socket; a bounded request queue feeding a dispatcher that runs
-  jobs on the fault-isolated worker pool; ``status``/``flush``/
-  ``shutdown`` control verbs and per-request telemetry;
-- :mod:`repro.service.jobs` — picklable assert/equivalence job payloads
-  and their pool worker entry points;
+- :mod:`repro.service.executor` — verb execution (parse, ``analyze``,
+  ``check`` with demand queries from :mod:`repro.service.queries`,
+  ``assert``, ``equivalence``) with pool isolation, free of transport
+  code; the server that calls it is :mod:`repro.gateway.server`;
+- :mod:`repro.service.protocol` / :mod:`~repro.service.client` —
+  newline-delimited JSON over a TCP or Unix socket;
+- :mod:`repro.service.jobs` — picklable job payloads and their pool
+  worker entry points;
 - :mod:`repro.service.diagnostics` — the SARIF-like diagnostics schema
   shared by assertion checking, budget reports, equivalence verdicts and
   service-level failures;
-- ``python -m repro.service`` (``repro-serve``) — the ``serve`` /
-  ``submit`` / ``watch`` / ``status`` / ``flush`` / ``shutdown`` CLI.
+- ``python -m repro.service`` (``repro-serve``, also ``python -m
+  repro.gateway`` / ``repro-gateway``) — the ``serve`` / ``submit`` /
+  ``watch`` / ``status`` / ``metrics`` / ``flush`` / ``shutdown`` CLI.
 """
 
 from repro.service.client import ServiceClient, ServiceError, parse_address
 from repro.service.depindex import ConeKeyedStore, DependencyIndex, DirtyCone, body_hash
 from repro.service.diagnostics import DiagnosticRecord, run_envelope
-from repro.service.server import AnalysisServer, ServerConfig
 from repro.service.session import Session, SessionReport
 
 __all__ = [
-    "AnalysisServer",
     "ConeKeyedStore",
     "DependencyIndex",
     "DiagnosticRecord",
     "DirtyCone",
-    "ServerConfig",
     "ServiceClient",
     "ServiceError",
     "Session",

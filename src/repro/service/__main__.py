@@ -1,51 +1,64 @@
-"""Service CLI: ``python -m repro.service <command>`` (also ``repro-serve``).
+"""Serving CLI: ``python -m repro.service <command>`` (also ``repro-serve``;
+``python -m repro.gateway`` and ``repro-gateway`` run this same CLI).
 
 Commands::
 
-    serve     start the daemon
-    submit    submit one program for (incremental) analysis / assertions
+    serve     start the server (the multi-tenant gateway)
+    submit    submit one program (analyze / check / query / asserts)
     watch     re-submit a file whenever its mtime changes
-    status    print daemon status
-    flush     drop retained session outputs
-    shutdown  graceful daemon shutdown
+    status    print server status (tenants, sessions, store, queue)
+    metrics   print the Prometheus exposition text
+    flush     drop retained session outputs and cached findings
+    shutdown  drain and stop the server
 
 Examples::
 
-    # start a daemon with a persistent store, 2 pool workers
-    python -m repro.service serve --tcp 127.0.0.1:7341 --store .stores/svc --jobs 2
+    # a server with a persistent store, 4 dispatch workers, a 64 MiB
+    # store budget and a tenant weighted 4x
+    python -m repro.service serve --tcp 127.0.0.1:7341 --store .stores/svc \\
+        --workers 4 --max-store-bytes 67108864 --weight paid=4
 
     # submit; the second submit after an edit re-analyzes only the dirty cone
     python -m repro.service submit prog.lisl --addr 127.0.0.1:7341 --domains am,au
     python -m repro.service watch prog.lisl --addr 127.0.0.1:7341
 
+    # tenants keep their own warm sessions; a deadline bounds queueing
+    python -m repro.service submit prog.lisl --tenant alice --deadline-ms 2000
+
     # assertion verdicts as structured diagnostics
-    python -m repro.service submit prog.lisl --addr 127.0.0.1:7341 --check-asserts
+    python -m repro.service submit prog.lisl --check-asserts
 
     # one program-point obligation on demand (backward-cone analysis;
     # warm answers come from the server's cone-keyed query cache)
-    python -m repro.service submit prog.lisl --addr 127.0.0.1:7341 \
-        --check --query reverse:12:safety.null-deref
+    python -m repro.service submit prog.lisl --check --query reverse:12:safety.null-deref
+
+    # scrape (same text as `curl http://127.0.0.1:7341/metrics`)
+    python -m repro.service metrics
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.gateway.server import AnalysisGateway, GatewayConfig
 from repro.service.client import ServiceClient, ServiceError, parse_address
-from repro.service.server import AnalysisServer, ServerConfig
+from repro.service.executor import CHECK_TIERS
+
+DEFAULT_ADDR = "127.0.0.1:7341"
 
 
 def _add_addr(ap: argparse.ArgumentParser) -> None:
     ap.add_argument(
         "--addr",
         type=str,
-        default="127.0.0.1:7341",
-        help="daemon address: host:port or a Unix socket path",
+        default=DEFAULT_ADDR,
+        help="server address: host:port or a Unix socket path",
     )
 
 
@@ -60,6 +73,8 @@ def _print_response(response, as_json: bool) -> int:
     if not response.get("ok"):
         error = response.get("error", {})
         print(f"error [{error.get('kind')}]: {error.get('message')}")
+        if error.get("retry_after_ms") is not None:
+            print(f"  retry after {error['retry_after_ms']} ms")
         _print_diagnostics(response.get("diagnostics"))
         return 1
     result = response.get("result", {})
@@ -119,57 +134,75 @@ def _print_diagnostics(envelope) -> None:
         )
 
 
+def _parse_weights(specs: List[str]) -> Dict[str, float]:
+    weights: Dict[str, float] = {}
+    for spec in specs:
+        name, sep, value = spec.partition("=")
+        if not sep:
+            raise SystemExit(f"--weight wants tenant=weight, got {spec!r}")
+        weights[name] = float(value)
+    return weights
+
+
 def cmd_serve(args) -> int:
     address = parse_address(args.tcp) if args.tcp else None
-    config = ServerConfig(
-        host=address[0] if isinstance(address, tuple) else "127.0.0.1",
-        port=address[1] if isinstance(address, tuple) else 0,
+    config = GatewayConfig(
+        host=address[0] if isinstance(address, tuple) else GatewayConfig.host,
+        port=address[1] if isinstance(address, tuple) else GatewayConfig.port,
         socket_path=args.unix,
+        workers=args.workers,
         jobs=args.jobs,
         store_dir=args.store,
-        queue_limit=args.queue_limit,
+        max_store_bytes=args.max_store_bytes,
+        max_sessions=args.max_sessions,
+        tenant_queue_limit=args.tenant_queue_limit,
+        tenant_weights=_parse_weights(args.weight),
         default_max_seconds=args.budget,
+        default_deadline_s=args.deadline,
     )
-    server = AnalysisServer(config)
-    server.start()
-    kind, where = server.address
-    print(f"repro service listening on {kind}:{where}", flush=True)
+    gateway = AnalysisGateway(config)
+
+    async def run() -> None:
+        await gateway.start()
+        kind, where = gateway.address
+        print(f"repro gateway listening on {kind}:{where}", flush=True)
+        await gateway.serve_forever()
+
     try:
-        server.serve_forever()
+        asyncio.run(run())
     except KeyboardInterrupt:
-        server.stop()
-    print("repro service stopped", flush=True)
+        pass
+    print("repro gateway stopped", flush=True)
     return 0
 
 
 def _submit_once(client: ServiceClient, args, source: str) -> int:
-    if getattr(args, "check", False):
+    common = dict(
+        procs=args.procs.split(",") if args.procs else None,
+        max_seconds=args.budget,
+        tenant=args.tenant,
+        deadline_ms=args.deadline_ms,
+    )
+    domains = args.domains.split(",")
+    if args.check:
         response = client.check(
             source,
-            procs=args.procs.split(",") if args.procs else None,
             tier=args.tier,
-            domain=args.domains.split(",")[0],
+            domain=domains[0],
             k=args.k,
             program_id=args.program_id,
-            max_seconds=args.budget,
             query=args.query,
+            **common,
         )
-        return _print_response(response, args.json)
-    if args.check_asserts:
-        response = client.check_asserts(
-            source,
-            procs=args.procs.split(",") if args.procs else None,
-            domain=args.domains.split(",")[0],
-            max_seconds=args.budget,
-        )
+    elif args.check_asserts:
+        response = client.check_asserts(source, domain=domains[0], **common)
     else:
         response = client.analyze(
             source,
-            procs=args.procs.split(",") if args.procs else None,
-            domains=tuple(args.domains.split(",")),
+            domains=tuple(domains),
             k=args.k,
             program_id=args.program_id,
-            max_seconds=args.budget,
+            **common,
         )
     return _print_response(response, args.json)
 
@@ -209,9 +242,16 @@ def cmd_status(args) -> int:
         return _print_response(client.status(), args.json)
 
 
+def cmd_metrics(args) -> int:
+    with _connect(args) as client:
+        sys.stdout.write(client.metrics())
+    return 0
+
+
 def cmd_flush(args) -> int:
     with _connect(args) as client:
-        return _print_response(client.flush(args.program_id), args.json)
+        response = client.flush(args.program_id, tenant=args.tenant)
+        return _print_response(response, args.json)
 
 
 def cmd_shutdown(args) -> int:
@@ -221,33 +261,50 @@ def cmd_shutdown(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="incremental analysis service (daemon + client)",
+        prog="repro-serve",
+        description="multi-tenant analysis server and its client",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    serve = sub.add_parser("serve", help="start the daemon")
-    serve.add_argument("--tcp", type=str, default="127.0.0.1:7341",
+    serve = sub.add_parser("serve", help="start the server")
+    serve.add_argument("--tcp", type=str, default=DEFAULT_ADDR,
                        help="TCP listen address host:port")
-    serve.add_argument("--unix", type=str, default=None,
+    serve.add_argument("--unix", type=str, default=GatewayConfig.socket_path,
                        help="Unix socket path (wins over --tcp)")
-    serve.add_argument("--jobs", type=int, default=1,
+    serve.add_argument("--workers", type=int, default=GatewayConfig.workers,
+                       help="concurrent dispatch workers")
+    serve.add_argument("--jobs", type=int, default=GatewayConfig.jobs,
                        help="pool worker processes per job (0 = inline)")
-    serve.add_argument("--store", type=str, default=None,
-                       help="persistent summary store directory")
-    serve.add_argument("--queue-limit", type=int, default=16,
-                       help="bounded request queue size")
-    serve.add_argument("--budget", type=float, default=None,
+    serve.add_argument("--store", type=str, default=GatewayConfig.store_dir,
+                       help="shared persistent summary store directory")
+    serve.add_argument("--max-store-bytes", type=int,
+                       default=GatewayConfig.max_store_bytes,
+                       help="store byte budget (GC evicts above this)")
+    serve.add_argument("--max-sessions", type=int,
+                       default=GatewayConfig.max_sessions,
+                       help="LRU bound on resident tenant sessions")
+    serve.add_argument("--tenant-queue-limit", type=int,
+                       default=GatewayConfig.tenant_queue_limit,
+                       help="pending requests per tenant before shedding")
+    serve.add_argument("--weight", action="append", default=[],
+                       metavar="TENANT=W",
+                       help="tenant weight (repeatable; default 1.0)")
+    serve.add_argument("--budget", type=float,
+                       default=GatewayConfig.default_max_seconds,
                        help="default per-request wall budget (seconds)")
+    serve.add_argument("--deadline", type=float,
+                       default=GatewayConfig.default_deadline_s,
+                       help="default per-request deadline (seconds)")
     serve.set_defaults(fn=cmd_serve)
 
-    for name, fn, takes_file in (
-        ("submit", cmd_submit, True),
-        ("watch", cmd_watch, True),
-    ):
+    for name, fn in (("submit", cmd_submit), ("watch", cmd_watch)):
         cp = sub.add_parser(name, help=f"{name} a program")
         cp.add_argument("file", help="LISL program file")
         _add_addr(cp)
+        cp.add_argument("--tenant", type=str, default=None,
+                        help="tenant id (default: the server's default)")
+        cp.add_argument("--deadline-ms", type=int, default=None,
+                        help="request deadline in milliseconds")
         cp.add_argument("--procs", type=str, default=None,
                         help="comma-separated root procedures (default: all)")
         cp.add_argument("--domains", type=str, default="am",
@@ -261,8 +318,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run assertion checking instead of summaries")
         cp.add_argument("--check", action="store_true",
                         help="run the two-tier lint/safety checker")
-        cp.add_argument("--tier", choices=("lint", "safety", "all"),
-                        default="all", help="checker tier(s) for --check")
+        cp.add_argument("--tier", choices=CHECK_TIERS, default="all",
+                        help="checker tier(s) for --check")
         cp.add_argument("--query", type=str, default=None,
                         metavar="PROC:LINE[:RULE]",
                         help="with --check: answer one program-point "
@@ -275,12 +332,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="mtime poll interval (seconds)")
         cp.set_defaults(fn=fn)
 
-    for name, fn in (("status", cmd_status), ("flush", cmd_flush),
-                     ("shutdown", cmd_shutdown)):
-        cp = sub.add_parser(name, help=f"{name} the daemon")
+    for name, fn in (("status", cmd_status), ("metrics", cmd_metrics),
+                     ("flush", cmd_flush), ("shutdown", cmd_shutdown)):
+        cp = sub.add_parser(name, help=f"{name} the server")
         _add_addr(cp)
-        cp.add_argument("--json", action="store_true")
+        if name != "metrics":
+            cp.add_argument("--json", action="store_true",
+                            help="print the raw JSON response")
         if name == "flush":
+            cp.add_argument("--tenant", type=str, default=None)
             cp.add_argument("--program-id", type=str, default=None)
         cp.set_defaults(fn=fn)
 

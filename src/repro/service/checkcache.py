@@ -1,4 +1,4 @@
-"""Warm per-procedure checker-finding cache, shared by both serving tiers.
+"""Warm per-procedure checker-finding cache of the serving tier.
 
 The ``check`` verb caches findings per procedure under keys that track
 exactly what each tier's findings depend on (PR 5/6 semantics):
@@ -14,10 +14,8 @@ exactly what each tier's findings depend on (PR 5/6 semantics):
   plus the same line signature.
 
 This class holds the key computation, the dirty/reused partition, and
-the merge-and-answer bookkeeping.  It was factored out of the PR 4/5
-thread server so the asyncio gateway reuses the identical invalidation
-logic (one implementation, two front ends); it is thread-safe because
-both front ends touch it from worker threads.
+the merge-and-answer bookkeeping, per ``(tenant, program_id)`` owner.
+It is thread-safe because the server's executor threads share it.
 """
 
 from __future__ import annotations
@@ -27,18 +25,22 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 
+Owner = Tuple[str, str]  # (tenant, program_id)
+
+
 class CheckFindingCache:
-    """``program_id`` -> per-procedure cached findings, keyed per tier."""
+    """``(tenant, program_id)`` -> per-procedure cached findings, keyed
+    per tier."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        # program_id -> {"config": (tier, domain, k),
-        #                "procs": {proc: {"lint": (key, [records]),
-        #                                 "safety": (key, [records], status),
-        #                                 "termination": (key, [records], status)}},
-        #                "queries": {(proc, line, rule, domain, k):
-        #                            (cone key, answer JSON)}}
-        self._caches: Dict[str, Dict[str, Any]] = {}
+        # owner -> {"config": (tier, domain, k),
+        #           "procs": {proc: {"lint": (key, [records]),
+        #                            "safety": (key, [records], status),
+        #                            "termination": (key, [records], status)}},
+        #           "queries": {(proc, line, rule, domain, k):
+        #                       (cone key, answer JSON)}}
+        self._caches: Dict[Owner, Dict[str, Any]] = {}
 
     @staticmethod
     def keys_for(program, icfg, index) -> Dict[str, Tuple[str, str]]:
@@ -66,7 +68,7 @@ class CheckFindingCache:
 
     def partition(
         self,
-        program_id: str,
+        owner: Owner,
         config: Tuple[str, str, int],
         requested: List[str],
         keys: Dict[str, Tuple[str, str]],
@@ -78,7 +80,7 @@ class CheckFindingCache:
         findings are missing or keyed differently).  A config change
         (tier/domain/k) invalidates the whole program's cache."""
         with self._lock:
-            cache = self._caches.setdefault(program_id, {})
+            cache = self._caches.setdefault(owner, {})
             if cache.get("config") != config:
                 cache.clear()
                 cache["config"] = config
@@ -106,7 +108,7 @@ class CheckFindingCache:
 
     def merge_and_answer(
         self,
-        program_id: str,
+        owner: Owner,
         requested: List[str],
         dirty: List[str],
         keys: Dict[str, Tuple[str, str]],
@@ -121,7 +123,7 @@ class CheckFindingCache:
         records: List[Dict[str, Any]] = []
         proc_status: Dict[str, str] = {}
         with self._lock:
-            cached = self._caches[program_id]["procs"]
+            cached = self._caches[owner]["procs"]
             for proc in dirty:
                 entry = cached.setdefault(proc, {})
                 if want_lint:
@@ -175,13 +177,13 @@ class CheckFindingCache:
 
     def query_get(
         self,
-        program_id: str,
+        owner: Owner,
         query_key: Tuple,
         cone_key: str,
     ) -> Optional[Dict[str, Any]]:
         """The cached answer, or None when missing or cone-stale."""
         with self._lock:
-            cache = self._caches.get(program_id) or {}
+            cache = self._caches.get(owner) or {}
             entry = (cache.get("queries") or {}).get(query_key)
             if entry is None or entry[0] != cone_key:
                 return None
@@ -189,31 +191,33 @@ class CheckFindingCache:
 
     def query_put(
         self,
-        program_id: str,
+        owner: Owner,
         query_key: Tuple,
         cone_key: str,
         answer: Dict[str, Any],
     ) -> None:
         with self._lock:
-            cache = self._caches.setdefault(program_id, {})
+            cache = self._caches.setdefault(owner, {})
             cache.setdefault("queries", {})[query_key] = (
                 cone_key,
                 copy.deepcopy(answer),
             )
 
-    def flush(self, program_id: Any = None) -> int:
-        """Drop cached findings and query answers (one program or all);
-        returns the count of dropped entries."""
-
-        def _size(cache: Dict[str, Any]) -> int:
-            return len(cache.get("procs") or {}) + len(cache.get("queries") or {})
-
+    def flush(
+        self, tenant: Optional[str] = None, program_id: Optional[str] = None
+    ) -> int:
+        """Drop the cached findings and query answers of every owner
+        that matches both filters (``None`` matches any); returns the
+        count of dropped entries."""
         dropped = 0
         with self._lock:
-            if program_id is None:
-                for cache in self._caches.values():
-                    dropped += _size(cache)
-                self._caches.clear()
-            elif program_id in self._caches:
-                dropped += _size(self._caches.pop(program_id))
+            owners = [
+                owner
+                for owner in self._caches
+                if tenant in (None, owner[0]) and program_id in (None, owner[1])
+            ]
+            for owner in owners:
+                cache = self._caches.pop(owner)
+                dropped += len(cache.get("procs") or {})
+                dropped += len(cache.get("queries") or {})
         return dropped

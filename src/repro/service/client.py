@@ -1,4 +1,4 @@
-"""Client for the analysis daemon: one socket, NDJSON request/response.
+"""Client for the analysis server: one socket, NDJSON request/response.
 
 .. code-block:: python
 
@@ -29,7 +29,7 @@ Address = Union[str, Tuple[str, int]]  # unix path | (host, port)
 
 
 class ServiceError(Exception):
-    """Transport-level failure talking to the daemon."""
+    """Transport-level failure talking to the server."""
 
 
 def parse_address(spec: str) -> Address:
@@ -44,7 +44,7 @@ def parse_address(spec: str) -> Address:
 
 
 class ServiceClient:
-    """One connection to a running analysis daemon."""
+    """One connection to a running analysis server."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -71,7 +71,7 @@ class ServiceClient:
     def wait_for_server(
         address: Address, timeout: float = 10.0, interval: float = 0.1
     ) -> "ServiceClient":
-        """Retry connecting until the daemon answers a ping (CI helper)."""
+        """Retry connecting until the server answers a ping (CI helper)."""
         deadline = time.monotonic() + timeout
         last: Optional[Exception] = None
         while time.monotonic() < deadline:
@@ -109,7 +109,7 @@ class ServiceClient:
         tenant: Optional[str],
         deadline_ms: Optional[int],
     ) -> Dict[str, Any]:
-        """Gateway-tier extras; the single-process daemon ignores both."""
+        """Per-tenant admission fields (omitted = default tenant, no deadline)."""
         if tenant is not None:
             fields["tenant"] = tenant
         if deadline_ms is not None:
@@ -218,7 +218,7 @@ class ServiceClient:
         return self.request("status")
 
     def metrics(self) -> str:
-        """The server's Prometheus exposition text (daemon or gateway)."""
+        """The server's Prometheus exposition text."""
         response = self.request("metrics")
         if not response.get("ok"):
             raise ServiceError(f"metrics failed: {response}")

@@ -29,10 +29,9 @@ RULE_BUDGET = "budget"  # suffixed with the budget kind: "budget.wall_clock"
 RULE_EQUIVALENCE = "equivalence"
 RULE_WORKER_CRASH = "worker.crashed"
 RULE_WORKER_FAILED = "worker.failed"
-# Admission-control rejection, shared by the single-process daemon
-# (global bounded queue) and the multi-tenant gateway (per-tenant
-# queues): clients key retry logic on one rule id for both tiers.  The
-# record's witness carries a ``retry_after_ms`` hint.
+# Admission-control rejection of a full per-tenant queue: clients key
+# retry logic on this rule id.  The record's witness carries a
+# ``retry_after_ms`` hint.
 RULE_QUEUE_SHED = "queue.shed"
 RULE_QUEUE_REJECTED = RULE_QUEUE_SHED  # pre-gateway alias, kept importable
 # Gateway-tier verdicts.
@@ -267,7 +266,7 @@ def records_envelope(
     stats: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """:func:`run_envelope` over already-serialized result records
-    (the daemon's finding cache stores JSON records, not live objects)."""
+    (the server's finding cache stores JSON records, not live objects)."""
     counts: Dict[str, int] = {}
     for result in results:
         counts[result["verdict"]] = counts.get(result["verdict"], 0) + 1

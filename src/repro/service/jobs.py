@@ -1,4 +1,4 @@
-"""Picklable job payloads the daemon dispatches onto the worker pool.
+"""Picklable job payloads the server dispatches onto the worker pool.
 
 ``analyze`` jobs reuse :func:`repro.parallel.batch.run_analysis_request`
 through the incremental :class:`~repro.service.session.Session`; this
@@ -6,7 +6,7 @@ module adds the two verdict-producing jobs — assertion checking and
 procedure equivalence — as self-contained request dataclasses plus
 worker entry points that return plain JSON-ready dicts (diagnostic
 records per :mod:`repro.service.diagnostics`, never live engine
-objects).  Running them in pool workers gives the daemon the same fault
+objects).  Running them in pool workers gives the server the same fault
 isolation analyze jobs get: a crash or hard budget kill loses one
 request, not the server.
 """
@@ -32,7 +32,7 @@ class AssertRequest:
 class CheckRequest:
     """Run the two-tier checker over (some procedures of) a program.
 
-    ``procs`` is the dirty subset on warm daemon runs — the server
+    ``procs`` is the dirty subset on warm server runs — the server
     answers clean procedures from its per-program finding cache and only
     dispatches the rest here.
     """

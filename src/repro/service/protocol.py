@@ -1,4 +1,4 @@
-"""Wire protocol of the analysis service: newline-delimited JSON.
+"""Wire protocol of the analysis server: newline-delimited JSON.
 
 One request per line, one response per line, UTF-8, stdlib only.  A
 request is a JSON object with a ``verb`` and an optional client ``id``
@@ -14,9 +14,10 @@ request is a JSON object with a ``verb`` and an optional client ``id``
 
 Grammar (see DESIGN.md §10 for the full field tables)::
 
-    request   := line( { "verb": VERB, "id"?: any, ...fields } )
+    request   := line( { "verb": VERB, "id"?: any, "tenant"?: str,
+                         "deadline_ms"?: int, ...fields } )
     VERB      := "analyze" | "assert" | "equivalence" | "check"
-               | "status" | "flush" | "shutdown" | "ping"
+               | "status" | "metrics" | "flush" | "shutdown" | "ping"
     response  := line( { "ok": bool, "id"?: any, "verb": VERB,
                          "result"?: object, "telemetry"?: object,
                          "error"?: { "kind": str, "message": str } } )
@@ -26,6 +27,8 @@ The ``check`` verb optionally carries a ``query`` field — a
 switching it to a single demand-driven obligation answered via
 backward-cone analysis (see :mod:`repro.service.queries`).
 
+Job verbs pass per-tenant admission (a full tenant queue answers
+``shed`` with a ``retry_after_ms`` hint); control verbs answer inline.
 Oversized lines (> ``MAX_LINE_BYTES``) and malformed JSON yield a
 ``bad_request`` error response rather than a dropped connection.
 """
@@ -37,7 +40,7 @@ from typing import Any, Dict, Optional
 
 PROTOCOL_VERSION = 1
 
-# Job verbs go through the bounded queue; control verbs answer inline.
+# Job verbs go through admission and dispatch; control verbs answer inline.
 JOB_VERBS = ("analyze", "assert", "equivalence", "check")
 CONTROL_VERBS = ("status", "flush", "shutdown", "ping", "metrics")
 VERBS = JOB_VERBS + CONTROL_VERBS
@@ -46,7 +49,6 @@ MAX_LINE_BYTES = 8 * 1024 * 1024  # one request line; programs are small
 
 # Error kinds.
 E_BAD_REQUEST = "bad_request"
-E_QUEUE_FULL = "queue_full"
 E_SHED = "shed"  # per-tenant admission control (429-style, retryable)
 E_DEADLINE = "deadline"  # request deadline expired before dispatch
 E_SHUTTING_DOWN = "shutting_down"
@@ -173,13 +175,11 @@ def shed_response(
     kind: str = E_SHED,
     rule_id: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """A 429-style load-shedding rejection, uniform across tiers.
-
-    Both the single-process daemon (global ``queue_full``) and the
-    gateway (per-tenant ``shed`` / ``deadline``) answer with this shape:
-    a retryable error kind, a ``retry_after_ms`` hint, and a diagnostics
-    record under the shared ``queue.shed`` rule id (or the gateway's
-    ``gateway.*`` family), so one client retry loop handles every tier.
+    """A 429-style load-shedding rejection (per-tenant ``shed``,
+    ``deadline``, or ``shutting_down``): a retryable error kind, a
+    ``retry_after_ms`` hint, and a diagnostics record under the
+    ``queue.shed`` rule id (or the ``gateway.*`` family), so one client
+    retry loop handles every rejection.
     """
     from repro.service import diagnostics as D
 

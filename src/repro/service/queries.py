@@ -1,4 +1,4 @@
-"""Demand-query execution shared by the daemon and the gateway.
+"""Demand-query execution: the ``check`` verb's ``query`` field.
 
 A ``check`` request carrying a ``query`` field asks for one program
 point's verdict instead of a whole-program sweep:
@@ -18,22 +18,22 @@ procedure's backward call cone is tabulated) and the finished answer is
 cached in the shared :class:`~repro.service.checkcache.CheckFindingCache`
 under the procedure's cone-fingerprint key — the same invalidation
 boundary Tier-B findings trust — so a warm query never runs a fixpoint
-at all.  Both serving tiers call :func:`execute_query` with a
-front-end-specific ``runner`` (inline or pool-isolated), which keeps
-the cache, telemetry (``query.warm``/``query.cold`` counters plus the
-``query.latency_ms`` window rendered as a Prometheus summary) and
-response shape identical across them.
+at all.  A cold answer runs through the executor's
+:meth:`~repro.service.executor.VerbExecutor.run_isolated` (inline or
+pool-isolated); telemetry counts ``query.warm``/``query.cold`` and
+observes the ``query.latency_ms`` window rendered as a Prometheus
+summary.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.service import diagnostics as D
 from repro.service import protocol as P
 from repro.service.checkcache import CheckFindingCache
-from repro.service.jobs import QueryRequest
+from repro.service.jobs import QueryRequest, run_query_request
 
 
 def parse_query_field(value: Any):
@@ -65,22 +65,15 @@ def parse_query_field(value: Any):
 
 
 def execute_query(
-    check_cache: CheckFindingCache,
-    telemetry,
+    executor,
     request: Dict[str, Any],
+    tenant: str,
     program,
     budget: Optional[float],
-    runner: Callable[[QueryRequest], Dict[str, Any]],
-    cache_id: Optional[str] = None,
-    extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Answer a ``check`` request's ``query`` field.
-
-    ``runner`` executes one :class:`QueryRequest` and returns either the
-    raw answer JSON or a structured protocol error response (a dict with
-    ``ok: false``), which is passed through unchanged.  ``extra`` is
-    merged into the result (the gateway adds its ``tenant``).
-    """
+    """Answer a ``check`` request's ``query`` field from ``tenant``'s
+    cache, or cold through ``executor.run_isolated`` (a
+    :class:`~repro.service.executor.VerbExecutor`)."""
     from repro.checker.findings import SAFETY_RULE_IDS
     from repro.lang.cfg import build_icfg
     from repro.service.depindex import DependencyIndex
@@ -93,7 +86,8 @@ def execute_query(
     domain = str(request.get("domain", "am"))
     k = int(request.get("k", 0))
     program_id = str(request.get("program_id", "default"))
-    cache_id = cache_id if cache_id is not None else program_id
+    owner = (tenant, program_id)
+    check_cache, telemetry = executor.check_cache, executor.telemetry
 
     icfg = build_icfg(program)
     if query.proc not in icfg.cfgs:
@@ -115,7 +109,7 @@ def execute_query(
     cone_key = keys[query.proc][1]
     query_key = (query.proc, query.line, query.rule, domain, k)
 
-    answer = check_cache.query_get(cache_id, query_key, cone_key)
+    answer = check_cache.query_get(owner, query_key, cone_key)
     mode = "warm" if answer is not None else "cold"
     if answer is None:
         payload = QueryRequest(
@@ -127,11 +121,8 @@ def execute_query(
             k=k,
             max_seconds=budget,
         )
-        out = runner(payload)
-        if isinstance(out, dict) and out.get("ok") is False:
-            return out  # structured pool-level error, pass through
-        answer = out
-        check_cache.query_put(cache_id, query_key, cone_key, answer)
+        answer, _ = executor.run_isolated(run_query_request, payload, budget)
+        check_cache.query_put(owner, query_key, cone_key, answer)
 
     latency_ms = (time.perf_counter() - started) * 1000.0
     telemetry.count(f"query.{mode}")
@@ -150,6 +141,7 @@ def execute_query(
         "proc_count": answer.get("proc_count"),
     }
     result = {
+        "tenant": tenant,
         "program_id": program_id,
         "domain": domain,
         "ok": ok,
@@ -157,8 +149,6 @@ def execute_query(
         "mode": mode,
         "diagnostics": D.records_envelope(records, stats),
     }
-    if extra:
-        result.update(extra)
     wire_telemetry = {
         "mode": mode,
         "latency_ms": round(latency_ms, 3),

@@ -61,7 +61,7 @@ class Session:
 
     ``store_dir=None`` creates a private temporary store that lives as
     long as the session; pass a directory to share warm state across
-    sessions and daemon restarts.  ``jobs=0`` analyzes inline (no worker
+    sessions and server restarts.  ``jobs=0`` analyzes inline (no worker
     processes) — the deterministic baseline; ``jobs>=1`` dispatches dirty
     shards onto the fault-isolated :mod:`repro.parallel.pool`.
     """

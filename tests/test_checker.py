@@ -13,7 +13,7 @@ Five layers:
 - **stability**: frozen rule-id inventory, byte-identical SARIF across
   runs (and against a committed golden), frontend errors as diagnostics
   with source lines;
-- **service**: the daemon's ``check`` verb answers warm re-checks from
+- **service**: the server's ``check`` verb answers warm re-checks from
   its per-procedure cache and invalidates on line/declaration edits.
 """
 
@@ -394,15 +394,13 @@ def test_table1_full_zero_unsafe():
 
 @pytest.fixture
 def check_server(tmp_path):
-    from repro.service.server import AnalysisServer, ServerConfig
+    from repro.gateway.server import GatewayConfig, GatewayThread
 
-    srv = AnalysisServer(
-        ServerConfig(port=0, jobs=0, store_dir=str(tmp_path / "store"))
-    )
-    srv.start()
-    yield srv
-    if not srv.stopped.is_set():
-        srv.stop()
+    gw = GatewayThread(
+        GatewayConfig(jobs=0, store_dir=str(tmp_path / "store"))
+    ).start()
+    yield gw
+    gw.stop()
 
 
 def _client(srv):

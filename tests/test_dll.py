@@ -1,4 +1,4 @@
-"""Tests of the doubly-linked-list subsystem (DESIGN.md section 15).
+"""Tests of the doubly-linked-list subsystem (DESIGN.md section 14).
 
 Five layers, mirroring the stack the DLL wiring runs through:
 

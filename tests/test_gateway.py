@@ -343,16 +343,16 @@ class TestGateway:
         """With the single dispatcher gated on a slow request, a greedy
         tenant fills its bounded queue (deterministic sheds) while a
         light tenant's request overtakes the whole backlog."""
-        import repro.gateway.server as gateway_mod
+        import repro.service.executor as executor_mod
 
         gate = threading.Event()
-        real = gateway_mod.run_assert_request
+        real = executor_mod.run_assert_request
 
         def gated(request):
             gate.wait(30)
             return real(request)
 
-        monkeypatch.setattr(gateway_mod, "run_assert_request", gated)
+        monkeypatch.setattr(executor_mod, "run_assert_request", gated)
         sock, fh = _lines_client(gateway)
         try:
             # One request occupies the (gated) dispatcher...
@@ -441,6 +441,32 @@ class TestGateway:
             eq = client.equivalence(CHAIN, "leaf", "other")
             assert eq["ok"]
 
+    def test_flush_drops_exactly_its_scope(self, gateway):
+        with _client(gateway) as client:
+            for tenant, program_id in (("alice", "p1"), ("alice", "p2"),
+                                       ("bob", "p1")):
+                assert client.analyze(CHAIN, domains=["am"], tenant=tenant,
+                                      program_id=program_id)["ok"]
+                assert client.check(CHAIN, query="mid:0", tenant=tenant,
+                                    program_id=program_id)["ok"]
+            # alice/p1: 4 retained outputs + 1 cached query answer.
+            flushed = client.flush("p1", tenant="alice")
+            assert flushed["result"]["dropped"] == 5
+            sessions = client.status()["result"]["sessions"]
+            assert sessions["alice/p1"]["retained"] == 0
+            assert sessions["alice/p2"]["retained"] == 4
+            again = client.check(CHAIN, query="mid:0", tenant="alice",
+                                 program_id="p2")
+            assert again["result"]["mode"] == "warm"
+            # A tenant-wide flush leaves the other tenant warm.
+            client.flush(tenant="alice")
+            bob = client.check(CHAIN, query="mid:0", tenant="bob",
+                               program_id="p1")
+            assert bob["result"]["mode"] == "warm"
+            alice = client.check(CHAIN, query="mid:0", tenant="alice",
+                                 program_id="p2")
+            assert alice["result"]["mode"] == "cold"
+
     def test_bad_requests_are_structured(self, gateway):
         sock, fh = _lines_client(gateway)
         try:
@@ -463,7 +489,7 @@ class TestGatewayPoolIsolation:
     def test_sigkilled_worker_is_structured_and_gateway_survives(
         self, tmp_path, monkeypatch
     ):
-        import repro.gateway.server as gateway_mod
+        import repro.service.executor as executor_mod
 
         def die(request):
             os.kill(os.getpid(), signal.SIGKILL)
@@ -473,7 +499,7 @@ class TestGatewayPoolIsolation:
                           store_dir=str(tmp_path / "store"))
         ).start()
         try:
-            monkeypatch.setattr(gateway_mod, "run_assert_request", die)
+            monkeypatch.setattr(executor_mod, "run_assert_request", die)
             with _client(gw) as client:
                 response = client.check_asserts(ASSERT_SRC, tenant="t")
                 assert not response["ok"]
@@ -531,19 +557,17 @@ class TestMetrics:
         assert data.startswith(b"HTTP/1.0 404")
 
     def test_daemon_metrics_verb_shares_renderer(self, tmp_path):
-        from repro.service.server import AnalysisServer, ServerConfig
-
-        srv = AnalysisServer(
-            ServerConfig(port=0, jobs=0, store_dir=str(tmp_path / "s"))
-        )
-        srv.start()
+        """The single-tenant default config (no tenant on any request)
+        answers the ``metrics`` verb from the same renderer."""
+        gw = GatewayThread(
+            GatewayConfig(jobs=0, store_dir=str(tmp_path / "s"))
+        ).start()
         try:
-            _, (host, port) = srv.address
-            with ServiceClient.connect_tcp(host, port) as client:
+            with _client(gw) as client:
                 assert client.analyze(CHAIN, domains=["am"])["ok"]
                 text = client.metrics()
             assert 'repro_requests_total{verb="analyze"} 1' in text
+            assert 'repro_tenant_requests_total{tenant="default"} 1' in text
             assert "repro_queue_depth" in text
         finally:
-            if not srv.stopped.is_set():
-                srv.stop()
+            gw.stop()

@@ -17,7 +17,7 @@ Five layers:
   hatch produced zero hits forever), and ``point_states`` restores
   per-point state tables from warm payloads and upgrades stale ones;
 - **surfaces**: ``repro-lint --query`` exit codes and output, the
-  daemon's ``check`` verb with a ``query`` field (warm answers from the
+  server's ``check`` verb with a ``query`` field (warm answers from the
   cone-keyed cache, invalidation on body edits, validation errors).
 """
 
@@ -406,15 +406,13 @@ class TestLintQueryCLI:
 class TestServiceQueries:
     @pytest.fixture
     def server(self, tmp_path):
-        from repro.service.server import AnalysisServer, ServerConfig
+        from repro.gateway.server import GatewayConfig, GatewayThread
 
-        srv = AnalysisServer(
-            ServerConfig(port=0, jobs=0, store_dir=str(tmp_path / "store"))
-        )
-        srv.start()
-        yield srv
-        if not srv.stopped.is_set():
-            srv.stop()
+        gw = GatewayThread(
+            GatewayConfig(jobs=0, store_dir=str(tmp_path / "store"))
+        ).start()
+        yield gw
+        gw.stop()
 
     def _client(self, srv):
         from repro.service.client import ServiceClient

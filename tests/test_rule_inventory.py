@@ -31,7 +31,7 @@ class TestCheckerRuleInventory:
             "safety.acyclic",
             "safety.termination",
             # Grew with the doubly-linked-list subsystem: back-pointer
-            # consistency of output lists (DESIGN.md section 15).
+            # consistency of output lists (DESIGN.md section 14).
             "safety.dll-consistent",
             "frontend.parse-error",
             "frontend.type-error",
@@ -42,8 +42,7 @@ class TestCheckerRuleInventory:
 class TestServiceRuleInventory:
     def test_rule_inventory_is_frozen(self):
         # ``budget`` is a prefix family (suffixed by kind at runtime);
-        # ``queue.shed`` is shared by the daemon's global queue and the
-        # gateway's per-tenant admission control.
+        # ``queue.shed`` is the per-tenant admission-control rejection.
         assert set(D.SERVICE_RULE_IDS) == {
             "assertion",
             "budget",

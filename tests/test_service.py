@@ -12,15 +12,17 @@ Four layers:
 - **diagnostics**: assertion verdicts (pass / fail / budget-exceeded)
   routed through the shared encoder keep stable rule ids and source
   line numbers;
-- **daemon robustness**: protocol errors, bounded-queue rejection, a
-  SIGKILLed worker mid-request and an over-budget request all return
-  structured error diagnostics without taking the server down.
+- **server robustness** (the gateway in its single-tenant default
+  config): protocol errors, bounded-queue shedding, a SIGKILLed worker
+  mid-request and an over-budget request all return structured error
+  diagnostics without taking the server down.
 """
 
 import json
 import os
 import signal
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from repro.service.diagnostics import (
     from_assertions,
     run_envelope,
 )
-from repro.service.server import AnalysisServer, ServerConfig
+from repro.gateway.server import GatewayConfig, GatewayThread
 
 CORPUS = Path(__file__).parent / "corpus"
 SLOW_ENTRIES = {"gen_seed17.lisl"}  # mirrors tests/test_parallel.py
@@ -405,19 +407,18 @@ class TestProtocol:
         assert parse_address("./svc.sock") == "./svc.sock"
 
 
-# -- the daemon -----------------------------------------------------------------
+# -- the server (single-tenant default config) ----------------------------------
 
 
 @pytest.fixture
 def server(tmp_path):
-    """An in-process daemon on an ephemeral TCP port, inline job mode."""
-    srv = AnalysisServer(
-        ServerConfig(port=0, jobs=0, store_dir=str(tmp_path / "store"))
-    )
-    srv.start()
-    yield srv
-    if not srv.stopped.is_set():
-        srv.stop()
+    """An in-process server on an ephemeral TCP port, inline job mode;
+    requests name no tenant, so all of them are the default tenant's."""
+    gw = GatewayThread(
+        GatewayConfig(jobs=0, store_dir=str(tmp_path / "store"))
+    ).start()
+    yield gw
+    gw.stop()
 
 
 def _client(srv) -> ServiceClient:
@@ -463,13 +464,13 @@ class TestDaemon:
         with _client(server) as client:
             client.analyze(CHAIN, domains=["am"], program_id="p1")
             status = client.status()["result"]
-            assert status["sessions"]["p1"]["procs"] == 4
-            assert status["queue_limit"] == 16
+            assert status["sessions"]["default/p1"]["procs"] == 4
+            assert status["tenant_queue_limit"] == 8
             assert status["telemetry"]["requests.analyze"] == 1
             dropped = client.flush()["result"]["dropped"]
             assert dropped == 4
             assert client.shutdown()["ok"]
-        assert server.stopped.wait(10)
+        assert server.gateway.stopped.wait(10)
         # The socket is really closed.
         _, (host, port) = server.address
         with pytest.raises(OSError):
@@ -495,49 +496,57 @@ class TestDaemon:
             sock.close()
 
     def test_queue_full_rejection(self, server):
-        # Park the dispatcher inside a job, then fill the bounded queue:
-        # the next enqueue must be rejected immediately (backpressure),
-        # not block the connection thread.
-        entered, release = __import__("threading").Event(), __import__(
-            "threading"
-        ).Event()
-        original = server._execute
+        # Park every dispatch worker inside a job, then fill the default
+        # tenant's bounded queue: the next request must be shed at once
+        # (backpressure), not block the connection.
+        gateway = server.gateway
+        workers = gateway.config.workers
+        limit = gateway.config.tenant_queue_limit
+        entered, release = threading.Semaphore(0), threading.Event()
+        original = gateway.executor.execute
 
-        def gated(job):
-            entered.set()
+        def gated(*args):
+            entered.release()
             release.wait(30)
-            return original(job)
+            return original(*args)
 
-        server._execute = gated
-        try:
-            parked = _client(server)
-            parked._sock.sendall(
-                P.encode({"verb": "analyze", "id": 1, "source": CHAIN,
-                          "domains": ["am"]})
+        def send(client, request_id):
+            client._sock.sendall(
+                P.encode({"verb": "analyze", "id": request_id,
+                          "source": CHAIN, "domains": ["am"]})
             )
-            assert entered.wait(10)  # dispatcher is now busy
-            while True:
-                try:
-                    server.queue.put_nowait(None)
-                except Exception:
-                    break
+
+        gateway.executor.execute = gated
+        parked = _client(server)
+        try:
+            for i in range(workers):
+                send(parked, i)
+            for _ in range(workers):
+                assert entered.acquire(timeout=10)  # all workers busy
+            for i in range(workers, workers + limit):
+                send(parked, i)
+            deadline = time.monotonic() + 10
+            while (gateway.scheduler.depth() < limit
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
             with _client(server) as client:
                 response = client.analyze(CHAIN, domains=["am"])
                 assert not response["ok"]
-                assert response["error"]["kind"] == "queue_full"
-                # Shed responses are uniform across the daemon and the
-                # gateway: a stable queue.shed rule id plus a
-                # retry_after_ms backoff hint.
+                assert response["error"]["kind"] == "shed"
+                # A stable queue.shed rule id plus a retry_after_ms
+                # backoff hint.
                 assert response["error"]["retry_after_ms"] >= 100
                 records = envelope_records(response["diagnostics"])
                 assert records[0]["ruleId"] == "queue.shed"
                 assert records[0]["witness"]["retry_after_ms"] >= 100
         finally:
             release.set()
-            server._execute = original
-        # The parked request still completes normally.
-        reply = json.loads(parked._fh.readline())
-        assert reply["ok"]
+            del gateway.executor.execute
+        # The parked requests still complete normally.
+        replies = [
+            json.loads(parked._fh.readline()) for _ in range(workers + limit)
+        ]
+        assert all(reply["ok"] for reply in replies)
         parked.close()
 
 
@@ -546,28 +555,23 @@ class TestDaemonPoolIsolation:
 
     @pytest.fixture
     def pool_server(self, tmp_path):
-        srv = AnalysisServer(
-            ServerConfig(
-                port=0, jobs=1, store_dir=str(tmp_path / "store"),
-                hard_grace=5.0,
+        gw = GatewayThread(
+            GatewayConfig(
+                jobs=1, store_dir=str(tmp_path / "store"), hard_grace=5.0
             )
-        )
-        srv.start()
-        yield srv
-        if not srv.stopped.is_set():
-            srv.stop()
+        ).start()
+        yield gw
+        gw.stop()
 
     def test_sigkilled_worker_returns_structured_error(
         self, pool_server, monkeypatch
     ):
-        import repro.service.jobs as jobs_mod
-        import repro.service.server as server_mod
+        import repro.service.executor as executor_mod
 
         def die(request):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(jobs_mod, "run_assert_request", die)
-        monkeypatch.setattr(server_mod, "run_assert_request", die)
+        monkeypatch.setattr(executor_mod, "run_assert_request", die)
         with _client(pool_server) as client:
             response = client.check_asserts(ASSERT_SRC)
             assert not response["ok"]

@@ -265,35 +265,52 @@ class TestCrossCheck:
 
 
 class TestService:
-    def test_check_verb_termination_tier_warm_cache(self, tmp_path):
+    @pytest.fixture
+    def server(self, tmp_path):
+        from repro.gateway.server import GatewayConfig, GatewayThread
+
+        gw = GatewayThread(
+            GatewayConfig(jobs=0, store_dir=str(tmp_path / "store"))
+        ).start()
+        yield gw
+        gw.stop()
+
+    def test_check_verb_termination_tier_warm_cache(self, server):
         from repro.service.client import ServiceClient
-        from repro.service.server import AnalysisServer, ServerConfig
 
         source = (TERMINATING_DIR / "list_walk.lisl").read_text()
-        srv = AnalysisServer(
-            ServerConfig(port=0, jobs=0, store_dir=str(tmp_path / "store"))
-        )
-        srv.start()
-        try:
-            _, (host, port) = srv.address
-            with ServiceClient.connect_tcp(host, port) as client:
-                cold = client.check(source, tier="termination")
-                assert cold["ok"]
-                assert cold["result"]["checked"] == ["walk"]
-                assert cold["result"]["reused"] == []
-                records = cold["result"]["diagnostics"]["runs"][0]["results"]
-                assert [r["verdict"] for r in records] == [TERMINATING]
+        _, (host, port) = server.address
+        with ServiceClient.connect_tcp(host, port) as client:
+            cold = client.check(source, tier="termination")
+            assert cold["ok"]
+            assert cold["result"]["checked"] == ["walk"]
+            assert cold["result"]["reused"] == []
+            records = cold["result"]["diagnostics"]["runs"][0]["results"]
+            assert [r["verdict"] for r in records] == [TERMINATING]
 
-                warm = client.check(source, tier="termination")
-                assert warm["result"]["checked"] == []
-                assert warm["result"]["reused"] == ["walk"]
-                warm_records = (
-                    warm["result"]["diagnostics"]["runs"][0]["results"]
-                )
-                assert warm_records == records
-        finally:
-            if not srv.stopped.is_set():
-                srv.stop()
+            warm = client.check(source, tier="termination")
+            assert warm["result"]["checked"] == []
+            assert warm["result"]["reused"] == ["walk"]
+            warm_records = warm["result"]["diagnostics"]["runs"][0]["results"]
+            assert warm_records == records
+
+    def test_cli_submit_termination_tier(self, server, capsys):
+        import repro.gateway.__main__ as gateway_cli
+        from repro.service.__main__ import main
+
+        # Every serving entry point runs the one CLI.
+        assert gateway_cli.main is main
+        _, (host, port) = server.address
+        code = main([
+            "submit", str(TERMINATING_DIR / "list_walk.lisl"),
+            "--addr", f"{host}:{port}", "--check", "--tier", "termination",
+            "--json",
+        ])
+        response = json.loads(capsys.readouterr().out)
+        assert code == 0 and response["ok"]
+        assert response["result"]["tier"] == "termination"
+        records = response["result"]["diagnostics"]["runs"][0]["results"]
+        assert [r["verdict"] for r in records] == [TERMINATING]
 
 
 # -- Table 1 --------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Property-based widening audit (lattice laws, mirrors
 tests/test_multiset_properties.py).
 
-The laws under test, for both ``MultisetDomain.widen`` and
-``Interval``/``IntervalEnv.widen``:
+The laws under test, for ``MultisetDomain.widen``:
 
 - **upper bound of join**: ``join(a, b) ⊑ widen(a, b)`` (hence also
   ``a ⊑ widen(a, b)`` and ``b ⊑ widen(a, b)``);
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.datawords import terms as T
 from repro.datawords.multiset import MultisetDomain, MultisetValue
-from repro.numeric.intervals import Interval, IntervalEnv
 
 AM = MultisetDomain()
 WORDS = ["a", "b", "c"]
@@ -95,98 +93,3 @@ def test_am_widen_gamma_monotone(v1, v2, env):
     if AM.satisfied_by(v1, words, data) or AM.satisfied_by(v2, words, data):
         assert AM.satisfied_by(w, words, data)
 
-
-# -- intervals ------------------------------------------------------------------
-
-BOUND = st.one_of(st.none(), st.integers(-6, 6).map(Fraction))
-
-
-@st.composite
-def interval_st(draw):
-    iv = Interval(draw(BOUND), draw(BOUND))
-    return iv
-
-
-@st.composite
-def interval_env_st(draw):
-    if draw(st.booleans()) and draw(st.integers(0, 9)) == 0:
-        return IntervalEnv.bottom()
-    names = draw(
-        st.lists(st.sampled_from(["x", "y", "z"]), max_size=3, unique=True)
-    )
-    return IntervalEnv({n: draw(interval_st()) for n in names})
-
-
-@settings(max_examples=80, deadline=None)
-@given(interval_st(), interval_st())
-def test_interval_widen_is_upper_bound_of_join(a, b):
-    w = a.widen(b)
-    j = a.join(b)
-    assert j.leq(w)
-    assert a.leq(w)
-    assert b.leq(w)
-
-
-@settings(max_examples=60, deadline=None)
-@given(interval_st(), st.lists(interval_st(), min_size=1, max_size=6))
-def test_interval_widen_stabilizes(a, others):
-    w = a
-    steps = 0
-    for b in others + others:
-        nxt = w.widen(w.join(b))
-        if not nxt.leq(w):
-            w = nxt
-            steps += 1
-    # each unstable step drops at least one finite bound to infinity;
-    # starting from an empty interval spends one extra step escaping bottom
-    assert steps <= (3 if a.is_empty() else 2)
-
-
-@settings(max_examples=80, deadline=None)
-@given(interval_env_st(), interval_env_st())
-def test_interval_env_widen_is_upper_bound_of_join(a, b):
-    w = a.widen(b)
-    j = a.join(b)
-    assert j.leq(w)
-    assert a.leq(w)
-    assert b.leq(w)
-
-
-@settings(max_examples=40, deadline=None)
-@given(interval_env_st(), st.lists(interval_env_st(), min_size=1, max_size=5))
-def test_interval_env_widen_stabilizes(a, others):
-    w = a
-    steps = 0
-    for b in others + others:
-        nxt = w.widen(w.join(b))
-        if not nxt.leq(w):
-            w = nxt
-            steps += 1
-    # <= 3 tracked variables x 2 bounds each, plus key-set shrinking
-    assert steps <= 7
-
-
-@settings(max_examples=80, deadline=None)
-@given(interval_env_st(), interval_env_st(), st.integers(-6, 6))
-def test_interval_env_widen_gamma_monotone(a, b, x):
-    """A point in γ(a) or γ(b) stays inside γ(widen(a, b))."""
-    w = a.widen(b)
-    fx = Fraction(x)
-    for env in (a, b):
-        if env.is_bottom():
-            continue
-        if env.get("x").contains(fx):
-            assert w.is_bottom() is False
-            assert w.get("x").contains(fx) or not _point_in(env, {"x": fx})
-    # stronger: if a full point satisfies a, it satisfies w
-    point = {"x": fx, "y": Fraction(0), "z": Fraction(0)}
-    if _point_in(a, point) or _point_in(b, point):
-        assert _point_in(w, point)
-
-
-def _point_in(env: IntervalEnv, point) -> bool:
-    if env.is_bottom():
-        return False
-    return all(
-        env.get(var).contains(val) for var, val in point.items()
-    )
