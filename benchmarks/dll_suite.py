@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import Analyzer
+from repro.lang import parse_source
 from repro.lang.ast import Program
-from repro.lang.normalize import normalize_program
-from repro.lang.parser import parse_program
-from repro.lang.typecheck import typecheck_program
 
 DLL_SOURCE = r"""
 // ===== class dll: doubly-linked list idioms ==============================
@@ -146,9 +144,7 @@ _CACHE: Dict[str, Program] = {}
 def dll_program() -> Program:
     """The parsed, typechecked, normalized DLL suite program."""
     if "program" not in _CACHE:
-        program = parse_program(DLL_SOURCE)
-        program = typecheck_program(program)
-        _CACHE["program"] = normalize_program(program)
+        _CACHE["program"] = parse_source(DLL_SOURCE)
     return _CACHE["program"]
 
 

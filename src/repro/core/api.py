@@ -24,10 +24,8 @@ from repro.datawords.multiset import MultisetDomain
 from repro.datawords.patterns import PatternSet, pattern_set
 from repro.datawords.universal import UniversalDomain
 from repro.engine import EngineOptions, SummaryCache
+from repro.lang import parse_source
 from repro.lang.cfg import ICFG, build_icfg
-from repro.lang.normalize import normalize_program
-from repro.lang.parser import parse_program
-from repro.lang.typecheck import typecheck_program
 from repro.shape.abstract_heap import AbstractHeap
 from repro.shape.heap_set import HeapSet
 from repro.core.interproc import AnalysisBudgetExceeded, Engine
@@ -140,17 +138,24 @@ class Analyzer:
     ``engine_opts=EngineOptions(use_cache=False)`` to bypass it, or an
     ``EngineOptions(cache=...)`` to share a cache (possibly disk-backed)
     across analyzers.
+
+    ``icfg`` is the program's prebuilt ICFG when the caller already
+    holds one (the serving tier's frontend cache); it is only read.
     """
 
-    def __init__(self, program, cache: Optional[SummaryCache] = None):
+    def __init__(
+        self,
+        program,
+        cache: Optional[SummaryCache] = None,
+        icfg: Optional[ICFG] = None,
+    ):
         self.program = program
-        self.icfg = build_icfg(program)
+        self.icfg = icfg if icfg is not None else build_icfg(program)
         self.cache = cache if cache is not None else SummaryCache()
 
     @staticmethod
     def from_source(source: str, cache: Optional[SummaryCache] = None) -> "Analyzer":
-        program = normalize_program(typecheck_program(parse_program(source)))
-        return Analyzer(program, cache=cache)
+        return Analyzer(parse_source(source), cache=cache)
 
     def make_domain(self, domain: str, proc: Optional[str] = None, patterns=None):
         if domain == "am":
@@ -268,10 +273,11 @@ class Analyzer:
         (``store_dir``; a session-private temporary store when None).
         Warm results are hash-identical to a cold run by construction.
         """
+        from repro.service.frontend import Frontend
         from repro.service.session import Session
 
         return Session(
-            self.program,
+            Frontend(self.program),
             store_dir=store_dir,
             jobs=jobs,
             max_seconds=max_seconds,

@@ -35,6 +35,8 @@ QUANTILES = (("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0))
 _LABELLED_FAMILIES: Tuple[Tuple[str, str, str], ...] = (
     # (dotted prefix, metric family, label name)
     ("checker.rule.", "repro_checker_rule_total", "rule"),
+    # frontend.hit / frontend.miss -> repro_frontend_total{result=...}.
+    ("frontend.", "repro_frontend_total", "result"),
     # query.warm / query.cold -> repro_query_total{mode="warm"|"cold"};
     # the query.latency_ms window renders as a summary separately.
     ("query.", "repro_query_total", "mode"),

@@ -67,7 +67,7 @@ class GatewayConfig:
     jobs: int = 1  # worker processes per job; 0 = inline (test mode)
     store_dir: Optional[str] = None  # shared persistent summary store
     max_store_bytes: Optional[int] = None  # GC budget; None = unbounded
-    max_sessions: int = 64  # LRU bound on resident tenant sessions
+    max_sessions: int = 64  # LRU bound on sessions, finding owners, sources
     tenant_queue_limit: int = 8
     tenant_weights: Dict[str, float] = field(default_factory=dict)
     default_max_seconds: Optional[float] = None
@@ -120,6 +120,7 @@ class AnalysisGateway:
             self.telemetry,
             jobs=self.config.jobs,
             hard_grace=self.config.hard_grace,
+            max_sessions=self.config.max_sessions,
         )
         self._threads = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),

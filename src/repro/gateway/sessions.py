@@ -17,6 +17,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
+from repro.service.frontend import Frontend
 from repro.service.session import Session
 
 SessionKey = Tuple[str, str]  # (tenant, program_id)
@@ -52,11 +53,11 @@ class SessionManager:
     # -- lookup ------------------------------------------------------------------
 
     def acquire(
-        self, tenant: str, program_id: str, program
+        self, tenant: str, program_id: str, frontend: Frontend
     ) -> Tuple[Session, threading.Lock, bool]:
         """The session for ``(tenant, program_id)``, created from
-        ``program`` when not resident; returns ``(session, session_lock,
-        evicted_any)``.
+        ``frontend`` (a :class:`~repro.service.frontend.Frontend`) when
+        not resident; returns ``(session, session_lock, evicted_any)``.
 
         This method only resolves residency (LRU touch, create, evict);
         the caller brings the session up to date with
@@ -79,7 +80,7 @@ class SessionManager:
                 self.evictions += 1
                 evicted = True
             session = Session(
-                program,
+                frontend,
                 store_dir=self.store_dir,
                 jobs=self.jobs,
                 max_seconds=self.max_seconds,
@@ -89,18 +90,17 @@ class SessionManager:
         return session, lock, evicted
 
     @staticmethod
-    def update_if_changed(session: Session, program) -> Optional[Any]:
-        """Update ``session`` to ``program`` when the ICFG changed;
-        returns the dirty-cone delta or ``None``.  Call while holding
-        the session lock."""
+    def update_if_changed(session: Session, frontend: Frontend) -> Optional[Any]:
+        """Update ``session`` to ``frontend``'s program when the ICFG
+        changed; returns the dirty-cone delta or ``None``.  Call while
+        holding the session lock."""
         from repro.engine.canon import icfg_fingerprint
-        from repro.lang.cfg import build_icfg
 
         if icfg_fingerprint(session.analyzer.icfg) == icfg_fingerprint(
-            build_icfg(program)
+            frontend.icfg
         ):
             return None
-        return session.update(program)
+        return session.update(frontend)
 
     # -- maintenance -------------------------------------------------------------
 

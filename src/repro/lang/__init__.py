@@ -15,7 +15,8 @@ alphabet:
 Pipeline: :mod:`lexer` → :mod:`parser` → :mod:`typecheck` →
 :mod:`normalize` (three-address form: dereferences lifted out of
 conditions and nested expressions) → :mod:`cfg` (intra-procedural CFGs and
-the ICFG).  :mod:`benchlib` holds the paper's benchmark programs.
+the ICFG).  :func:`parse_source` runs the chain from source text up to
+normalization.  :mod:`benchlib` holds the paper's benchmark programs.
 """
 
 from repro.lang.ast import Program, Procedure
@@ -24,7 +25,15 @@ from repro.lang.typecheck import typecheck_program, TypeError_
 from repro.lang.normalize import normalize_program
 from repro.lang.cfg import build_icfg, ICFG, CFG
 
+
+def parse_source(source: str) -> Program:
+    """Parse, typecheck and normalize LISL source text; raises the
+    parser's or typechecker's error on bad input."""
+    return normalize_program(typecheck_program(parse_program(source)))
+
+
 __all__ = [
+    "parse_source",
     "Program",
     "Procedure",
     "parse_program",

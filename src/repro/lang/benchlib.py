@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.lang import parse_source
 from repro.lang.ast import Program
-from repro.lang.normalize import normalize_program
-from repro.lang.parser import parse_program
-from repro.lang.typecheck import typecheck_program
 
 BENCHMARK_SOURCE = r"""
 // ===== class sll: elementary operations ==================================
@@ -633,9 +631,7 @@ _CACHE: Dict[str, Program] = {}
 def benchmark_program() -> Program:
     """The parsed, typechecked, normalized benchmark program."""
     if "program" not in _CACHE:
-        program = parse_program(BENCHMARK_SOURCE)
-        program = typecheck_program(program)
-        _CACHE["program"] = normalize_program(program)
+        _CACHE["program"] = parse_source(BENCHMARK_SOURCE)
     return _CACHE["program"]
 
 

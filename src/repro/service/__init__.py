@@ -13,6 +13,9 @@ the changed SCCs and answers everything else from retained results.
   driver (also reachable as ``Analyzer.open_session()``): cold runs
   populate the store, warm runs dispatch only the dirty cone and are
   asserted hash-identical to cold runs;
+- :mod:`repro.service.frontend` — the content-addressed frontend cache:
+  exact source text -> parsed program, ICFG, dependency index and
+  checker keys, shared by every tenant;
 - :mod:`repro.service.executor` — verb execution (parse, ``analyze``,
   ``check`` with demand queries from :mod:`repro.service.queries`,
   ``assert``, ``equivalence``) with pool isolation, free of transport

@@ -15,13 +15,17 @@ exactly what each tier's findings depend on (PR 5/6 semantics):
 
 This class holds the key computation, the dirty/reused partition, and
 the merge-and-answer bookkeeping, per ``(tenant, program_id)`` owner.
-It is thread-safe because the server's executor threads share it.
+Owners are kept in LRU order under ``max_owners`` (the gateway passes
+its ``max_sessions``): a new owner past the bound drops the
+least-recently-used owner's findings and query answers.  It is
+thread-safe because the server's executor threads share it.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -32,7 +36,8 @@ class CheckFindingCache:
     """``(tenant, program_id)`` -> per-procedure cached findings, keyed
     per tier."""
 
-    def __init__(self):
+    def __init__(self, max_owners: int):
+        self.max_owners = max(1, max_owners)
         self._lock = threading.Lock()
         # owner -> {"config": (tier, domain, k),
         #           "procs": {proc: {"lint": (key, [records]),
@@ -40,7 +45,20 @@ class CheckFindingCache:
         #                            "termination": (key, [records], status)}},
         #           "queries": {(proc, line, rule, domain, k):
         #                       (cone key, answer JSON)}}
-        self._caches: Dict[Owner, Dict[str, Any]] = {}
+        self._caches: "OrderedDict[Owner, Dict[str, Any]]" = OrderedDict()
+
+    def _touch(self, owner: Owner) -> Dict[str, Any]:
+        """The owner's cache, marked most recently used; evicts past
+        ``max_owners``.  Call while holding the lock."""
+        cache = self._caches.setdefault(owner, {})
+        self._caches.move_to_end(owner)
+        while len(self._caches) > self.max_owners:
+            self._caches.popitem(last=False)
+        return cache
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._caches)
 
     @staticmethod
     def keys_for(program, icfg, index) -> Dict[str, Tuple[str, str]]:
@@ -75,18 +93,23 @@ class CheckFindingCache:
         want_lint: bool,
         want_safety: bool,
         want_termination: bool,
-    ) -> List[str]:
+    ) -> Tuple[List[str], Dict[str, Dict[str, Any]]]:
         """The dirty subset of ``requested`` (procedures whose cached
-        findings are missing or keyed differently).  A config change
-        (tier/domain/k) invalidates the whole program's cache."""
+        findings are missing or keyed differently), and a snapshot of
+        the reused procedures' entries to pass to
+        :meth:`merge_and_answer`.  The snapshot is taken under the lock,
+        so a concurrent request on the same owner (another source, an
+        eviction, a flush) cannot change what this request answers.  A
+        config change (tier/domain/k) invalidates the whole program's
+        cache."""
         with self._lock:
-            cache = self._caches.setdefault(owner, {})
+            cache = self._touch(owner)
             if cache.get("config") != config:
                 cache.clear()
-                cache["config"] = config
-                cache["procs"] = {}
+                cache.update(config=config, procs={})
             cached: Dict[str, Dict[str, Any]] = cache["procs"]
             dirty: List[str] = []
+            reused: Dict[str, Dict[str, Any]] = {}
             for proc in requested:
                 entry = cached.get(proc, {})
                 lint_ok = (not want_lint) or (
@@ -102,58 +125,71 @@ class CheckFindingCache:
                     "termination" in entry
                     and entry["termination"][0] == keys[proc][1]
                 )
-                if not (lint_ok and safety_ok and termination_ok):
+                if lint_ok and safety_ok and termination_ok:
+                    reused[proc] = dict(entry)
+                else:
                     dirty.append(proc)
-        return dirty
+        return dirty, reused
 
     def merge_and_answer(
         self,
         owner: Owner,
+        config: Tuple[str, str, int],
         requested: List[str],
-        dirty: List[str],
+        reused: Dict[str, Dict[str, Any]],
         keys: Dict[str, Tuple[str, str]],
         fresh: Dict[str, Any],
         want_lint: bool,
         want_safety: bool,
         want_termination: bool,
     ) -> Tuple[List[Dict[str, Any]], Dict[str, str]]:
-        """Fold ``fresh`` results into the cache, then answer every
-        requested procedure from it; returns (sorted records,
+        """Answer every requested procedure from ``reused`` (the
+        snapshot :meth:`partition` returned) and the ``fresh`` results
+        of the rest, and store the fresh entries in the owner's cache
+        unless its config changed meanwhile; returns (sorted records,
         proc_status)."""
+        answered: Dict[str, Dict[str, Any]] = {}
+        for proc in requested:
+            if proc in reused:
+                answered[proc] = reused[proc]
+                continue
+            entry = answered[proc] = {}
+            if want_lint:
+                entry["lint"] = (keys[proc][0], fresh["lint"].get(proc, []))
+            if want_safety:
+                entry["safety"] = (
+                    keys[proc][1],
+                    fresh["safety"].get(proc, []),
+                    fresh["proc_status"].get(proc, "ok"),
+                )
+            if want_termination:
+                entry["termination"] = (
+                    keys[proc][1],
+                    fresh["termination"].get(proc, []),
+                    fresh["termination_status"].get(proc, "ok"),
+                )
+        with self._lock:
+            cache = self._touch(owner)
+            if "config" not in cache:  # evicted or flushed meanwhile
+                cache.update(config=config, procs={})
+            if cache["config"] == config:
+                for proc, entry in answered.items():
+                    if proc not in reused:
+                        cache["procs"].setdefault(proc, {}).update(entry)
         records: List[Dict[str, Any]] = []
         proc_status: Dict[str, str] = {}
-        with self._lock:
-            cached = self._caches[owner]["procs"]
-            for proc in dirty:
-                entry = cached.setdefault(proc, {})
-                if want_lint:
-                    entry["lint"] = (
-                        keys[proc][0], fresh["lint"].get(proc, [])
-                    )
-                if want_safety:
-                    entry["safety"] = (
-                        keys[proc][1],
-                        fresh["safety"].get(proc, []),
-                        fresh["proc_status"].get(proc, "ok"),
-                    )
-                if want_termination:
-                    entry["termination"] = (
-                        keys[proc][1],
-                        fresh["termination"].get(proc, []),
-                        fresh["termination_status"].get(proc, "ok"),
-                    )
-            for proc in requested:
-                entry = cached.get(proc, {})
-                if want_lint and "lint" in entry:
-                    records.extend(entry["lint"][1])
-                if want_safety and "safety" in entry:
-                    records.extend(entry["safety"][1])
-                    if entry["safety"][2] != "ok":
-                        proc_status[proc] = entry["safety"][2]
-                if want_termination and "termination" in entry:
-                    records.extend(entry["termination"][1])
-                    if entry["termination"][2] != "ok":
-                        proc_status[proc] = entry["termination"][2]
+        for proc in requested:
+            entry = answered[proc]
+            if want_lint:
+                records.extend(entry["lint"][1])
+            if want_safety:
+                records.extend(entry["safety"][1])
+                if entry["safety"][2] != "ok":
+                    proc_status[proc] = entry["safety"][2]
+            if want_termination:
+                records.extend(entry["termination"][1])
+                if entry["termination"][2] != "ok":
+                    proc_status[proc] = entry["termination"][2]
         records.sort(
             key=lambda r: (
                 r.get("procedure") or "",
@@ -183,7 +219,9 @@ class CheckFindingCache:
     ) -> Optional[Dict[str, Any]]:
         """The cached answer, or None when missing or cone-stale."""
         with self._lock:
-            cache = self._caches.get(owner) or {}
+            if owner not in self._caches:
+                return None
+            cache = self._touch(owner)
             entry = (cache.get("queries") or {}).get(query_key)
             if entry is None or entry[0] != cone_key:
                 return None
@@ -197,7 +235,7 @@ class CheckFindingCache:
         answer: Dict[str, Any],
     ) -> None:
         with self._lock:
-            cache = self._caches.setdefault(owner, {})
+            cache = self._touch(owner)
             cache.setdefault("queries", {})[query_key] = (
                 cone_key,
                 copy.deepcopy(answer),

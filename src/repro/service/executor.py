@@ -5,7 +5,10 @@ fair dispatch and store maintenance.  Everything between a validated
 job request and its reply lives here, with no asyncio or socket code,
 so it runs on any executor thread:
 
-- parse the LISL ``source`` (a parse or type error is a ``bad_request``);
+- resolve the LISL ``source`` through the content-addressed
+  :class:`~repro.service.frontend.FrontendCache` (a parse or type error
+  is a ``bad_request``; every other reply's telemetry says whether the
+  frontend was a ``hit`` or a ``miss``);
 - ``analyze`` through the tenant's incremental
   :class:`~repro.service.session.Session` (dirty-cone reuse);
 - ``check`` with warm per-procedure findings from the
@@ -31,6 +34,7 @@ from repro.parallel.pool import OK, PoolTask, TaskOutcome, WorkerPool
 from repro.service import diagnostics as D
 from repro.service import protocol as P
 from repro.service.checkcache import CheckFindingCache
+from repro.service.frontend import Frontend, FrontendCache
 from repro.service.jobs import (
     AssertRequest,
     CheckRequest,
@@ -57,30 +61,32 @@ class IsolatedTaskError(Exception):
         )
 
 
-def _parse_source(source: str):
-    """Parse, typecheck and normalize one request's LISL source."""
-    from repro.lang.normalize import normalize_program
-    from repro.lang.parser import parse_program
-    from repro.lang.typecheck import typecheck_program
-
-    return normalize_program(typecheck_program(parse_program(source)))
-
-
 class VerbExecutor:
     """Runs job verbs against per-tenant sessions and finding caches.
 
     ``sessions`` is the :class:`~repro.gateway.sessions.SessionManager`
     holding each ``(tenant, program_id)``'s incremental session;
-    ``telemetry`` is the server's shared registry.  Thread-safe: the
-    session manager and the finding cache lock internally.
+    ``telemetry`` is the server's shared registry; ``max_sessions``
+    bounds the frontend cache's resident sources and the finding cache's
+    resident owners as it bounds sessions.  The frontend cache is shared
+    by every tenant.  Thread-safe: the
+    session manager and both caches lock internally.
     """
 
-    def __init__(self, sessions, telemetry, jobs: int, hard_grace: float):
+    def __init__(
+        self,
+        sessions,
+        telemetry,
+        jobs: int,
+        hard_grace: float,
+        max_sessions: int,
+    ):
         self.sessions = sessions
         self.telemetry = telemetry
         self.jobs = jobs
         self.hard_grace = hard_grace
-        self.check_cache = CheckFindingCache()
+        self.frontend = FrontendCache(max_entries=max_sessions)
+        self.check_cache = CheckFindingCache(max_owners=max_sessions)
 
     def execute(
         self,
@@ -92,22 +98,36 @@ class VerbExecutor:
         """The reply to one job request; ``budget`` is the request's
         effective wall budget (cooperative and hard-kill)."""
         try:
-            program = _parse_source(request["source"])
+            frontend, hit = self.frontend.resolve(request["source"])
         except Exception as exc:
             self.telemetry.count("requests.parse_error")
             return P.error_response(
                 request, P.E_BAD_REQUEST, f"source does not parse: {exc}", verb
             )
+        outcome = "hit" if hit else "miss"
+        self.telemetry.count(f"frontend.{outcome}")
+        reply = self._execute(request, verb, tenant, frontend, budget)
+        reply.setdefault("telemetry", {})["frontend"] = outcome
+        return reply
+
+    def _execute(
+        self,
+        request: Dict[str, Any],
+        verb: str,
+        tenant: str,
+        frontend: Frontend,
+        budget: Optional[float],
+    ) -> Dict[str, Any]:
         try:
             if verb == "analyze":
-                return self._analyze(request, tenant, program, budget)
+                return self._analyze(request, tenant, frontend, budget)
             if verb == "check" and request.get("query") is not None:
-                return execute_query(self, request, tenant, program, budget)
+                return execute_query(self, request, tenant, frontend, budget)
             if verb == "check":
-                return self._check(request, tenant, program, budget)
+                return self._check(request, tenant, frontend, budget)
             if verb == "assert":
                 fn, payload = run_assert_request, AssertRequest(
-                    program=program,
+                    program=frontend.program,
                     procs=tuple(request.get("procs") or ()),
                     domain=request.get("domain", "au"),
                     k=int(request.get("k", 0)),
@@ -115,7 +135,7 @@ class VerbExecutor:
                 )
             elif verb == "equivalence":
                 fn, payload = run_equivalence_request, EquivalenceRequest(
-                    program=program,
+                    program=frontend.program,
                     proc1=request["proc1"],
                     proc2=request["proc2"],
                     max_seconds=budget,
@@ -171,17 +191,17 @@ class VerbExecutor:
         self,
         request: Dict[str, Any],
         tenant: str,
-        program,
+        frontend: Frontend,
         budget: Optional[float],
     ) -> Dict[str, Any]:
         program_id = str(request.get("program_id", "default"))
         session, lock, evicted = self.sessions.acquire(
-            tenant, program_id, program
+            tenant, program_id, frontend
         )
         if evicted:
             self.telemetry.count("sessions.evicted")
         with lock:
-            delta = self.sessions.update_if_changed(session, program)
+            delta = self.sessions.update_if_changed(session, frontend)
             report = session.analyze(
                 procs=request.get("procs"),
                 domains=tuple(request.get("domains") or ("am",)),
@@ -262,7 +282,7 @@ class VerbExecutor:
         self,
         request: Dict[str, Any],
         tenant: str,
-        program,
+        frontend: Frontend,
         budget: Optional[float],
     ) -> Dict[str, Any]:
         """The two-tier checker with warm per-procedure reuse.
@@ -272,13 +292,11 @@ class VerbExecutor:
         termination verdicts depend on the whole call cone, so they are
         cached under the cone fingerprint plus the same line signature.
         Only procedures whose key changed are re-dispatched; the rest
-        answer from the cache.  The keys come from the incoming program,
-        not the session: they must see line and declaration changes that
-        ``icfg_fingerprint`` (and thus ``Session.update``) ignores.
+        answer from the cache.  The keys come from the incoming source's
+        frontend, not the session: they must see line and declaration
+        changes that ``icfg_fingerprint`` (and thus ``Session.update``)
+        ignores.
         """
-        from repro.lang.cfg import build_icfg
-        from repro.service.depindex import DependencyIndex
-
         program_id = str(request.get("program_id", "default"))
         owner = (tenant, program_id)
         tier = str(request.get("tier", "all"))
@@ -288,10 +306,9 @@ class VerbExecutor:
             )
         domain = str(request.get("domain", "am"))
         k = int(request.get("k", 0))
-        icfg = build_icfg(program)
-        index = DependencyIndex.build(icfg)
-        requested = list(request.get("procs") or sorted(index.bodies))
-        unknown = [p for p in requested if p not in index.bodies]
+        keys = frontend.keys
+        requested = list(request.get("procs") or sorted(keys))
+        unknown = [p for p in requested if p not in keys]
         if unknown:
             return P.error_response(
                 request,
@@ -302,19 +319,19 @@ class VerbExecutor:
         want_lint = tier in ("lint", "all")
         want_safety = tier in ("safety", "all")
         want_termination = tier == "termination"
-        keys = CheckFindingCache.keys_for(program, icfg, index)
-        dirty = self.check_cache.partition(
-            owner, (tier, domain, k), requested, keys,
+        config = (tier, domain, k)
+        dirty, snapshot = self.check_cache.partition(
+            owner, config, requested, keys,
             want_lint, want_safety, want_termination,
         )
-        reused = [p for p in requested if p not in set(dirty)]
+        reused = [p for p in requested if p in snapshot]
         fresh: Dict[str, Any] = {"lint": {}, "safety": {}, "termination": {},
                                  "proc_status": {}, "termination_status": {},
                                  "stats": {}}
         telemetry: Dict[str, Any] = {"isolation": "warm"}
         if dirty:
             payload = CheckRequest(
-                program=program,
+                program=frontend.program,
                 procs=tuple(dirty),
                 tier=tier,
                 domain=domain,
@@ -325,7 +342,7 @@ class VerbExecutor:
                 run_check_request, payload, budget
             )
         records, proc_status = self.check_cache.merge_and_answer(
-            owner, requested, dirty, keys, fresh,
+            owner, config, requested, snapshot, keys, fresh,
             want_lint, want_safety, want_termination,
         )
         for record in records:

@@ -32,7 +32,6 @@ from typing import Any, Dict, Optional
 
 from repro.service import diagnostics as D
 from repro.service import protocol as P
-from repro.service.checkcache import CheckFindingCache
 from repro.service.jobs import QueryRequest, run_query_request
 
 
@@ -68,15 +67,15 @@ def execute_query(
     executor,
     request: Dict[str, Any],
     tenant: str,
-    program,
+    frontend,
     budget: Optional[float],
 ) -> Dict[str, Any]:
     """Answer a ``check`` request's ``query`` field from ``tenant``'s
     cache, or cold through ``executor.run_isolated`` (a
-    :class:`~repro.service.executor.VerbExecutor`)."""
+    :class:`~repro.service.executor.VerbExecutor`).  ``frontend`` is the
+    source's :class:`~repro.service.frontend.Frontend`, whose cone keys
+    are built once per source text."""
     from repro.checker.findings import SAFETY_RULE_IDS
-    from repro.lang.cfg import build_icfg
-    from repro.service.depindex import DependencyIndex
 
     started = time.perf_counter()
     try:
@@ -89,8 +88,7 @@ def execute_query(
     owner = (tenant, program_id)
     check_cache, telemetry = executor.check_cache, executor.telemetry
 
-    icfg = build_icfg(program)
-    if query.proc not in icfg.cfgs:
+    if query.proc not in frontend.icfg.cfgs:
         return P.error_response(
             request,
             P.E_BAD_REQUEST,
@@ -104,16 +102,14 @@ def execute_query(
             f"unknown safety rule {query.rule!r}",
             "check",
         )
-    index = DependencyIndex.build(icfg)
-    keys = CheckFindingCache.keys_for(program, icfg, index)
-    cone_key = keys[query.proc][1]
+    cone_key = frontend.keys[query.proc][1]
     query_key = (query.proc, query.line, query.rule, domain, k)
 
     answer = check_cache.query_get(owner, query_key, cone_key)
     mode = "warm" if answer is not None else "cold"
     if answer is None:
         payload = QueryRequest(
-            program=program,
+            program=frontend.program,
             proc=query.proc,
             line=query.line,
             rule=query.rule,

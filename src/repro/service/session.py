@@ -3,10 +3,10 @@
 A :class:`Session` wraps one evolving program.  The first
 :meth:`Session.analyze` is a cold run (every requested root analyzed,
 publishing cone-keyed entries to the persistent store); after
-:meth:`Session.update` with an edited program, the next ``analyze``
-re-dispatches only the roots whose cone fingerprint changed (the *dirty
-cone* of :mod:`repro.service.depindex`), answering every clean root from
-the session's retained outputs.
+:meth:`Session.update` with an edited program's frontend, the next
+``analyze`` re-dispatches only the roots whose cone fingerprint changed
+(the *dirty cone* of :mod:`repro.service.depindex`), answering every
+clean root from the session's retained outputs.
 
 Correctness invariant (asserted corpus-wide in ``tests/test_service.py``):
 a warm re-analysis produces summary hashes **identical** to a cold run of
@@ -25,7 +25,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel.batch import AnalysisOutput, plan_requests, run_batch
 from repro.parallel.pool import OK
-from repro.service.depindex import DependencyIndex, DirtyCone
+from repro.service.depindex import DirtyCone
+from repro.service.frontend import Frontend
 
 
 @dataclass
@@ -64,11 +65,14 @@ class Session:
     sessions and server restarts.  ``jobs=0`` analyzes inline (no worker
     processes) — the deterministic baseline; ``jobs>=1`` dispatches dirty
     shards onto the fault-isolated :mod:`repro.parallel.pool`.
+    ``frontend`` is the program's
+    :class:`~repro.service.frontend.Frontend`; the session reads its ICFG
+    and dependency index and never writes them.
     """
 
     def __init__(
         self,
-        program,
+        frontend: Frontend,
         store_dir: Optional[str] = None,
         jobs: int = 0,
         max_seconds: Optional[float] = None,
@@ -82,8 +86,8 @@ class Session:
         self.store_dir = store_dir
         self.jobs = jobs
         self.max_seconds = max_seconds
-        self.analyzer = Analyzer(program)
-        self.index = DependencyIndex.build(self.analyzer.icfg)
+        self.analyzer = Analyzer(frontend.program, icfg=frontend.icfg)
+        self.index = frontend.index
         self.generation = 0
         self.last_delta: Optional[DirtyCone] = None
         # (task_id) -> (cone fingerprint at analysis time, output)
@@ -95,30 +99,25 @@ class Session:
 
     # -- program evolution -------------------------------------------------------
 
-    def update(self, program) -> DirtyCone:
-        """Replace the session program; returns the dirty cone vs the old
-        one.  Retained outputs are *not* discarded here — reuse is decided
-        per-root at ``analyze`` time by comparing cone fingerprints, so a
-        reverted edit re-hits both the retained outputs and the store."""
+    def update(self, frontend: Frontend) -> DirtyCone:
+        """Replace the session program with ``frontend``'s; returns the
+        dirty cone vs the old one.  Retained outputs are *not* discarded
+        here — reuse is decided per-root at ``analyze`` time by comparing
+        cone fingerprints, so a reverted edit re-hits both the retained
+        outputs and the store."""
         from repro.core.api import Analyzer
 
-        new_analyzer = Analyzer(program)
-        new_index = DependencyIndex.build(new_analyzer.icfg)
-        delta = self.index.diff(new_index)
-        self.analyzer = new_analyzer
-        self.index = new_index
+        delta = self.index.diff(frontend.index)
+        self.analyzer = Analyzer(frontend.program, icfg=frontend.icfg)
+        self.index = frontend.index
         self.generation += 1
         self.last_delta = delta
         return delta
 
     def update_source(self, source: str) -> DirtyCone:
-        from repro.lang.normalize import normalize_program
-        from repro.lang.parser import parse_program
-        from repro.lang.typecheck import typecheck_program
+        from repro.lang import parse_source
 
-        return self.update(
-            normalize_program(typecheck_program(parse_program(source)))
-        )
+        return self.update(Frontend(parse_source(source)))
 
     # -- analysis ----------------------------------------------------------------
 

@@ -31,9 +31,11 @@ from repro.gateway.scheduler import FairScheduler, SchedulerConfig, Shed
 from repro.gateway.server import AnalysisGateway, GatewayConfig, GatewayThread
 from repro.gateway.sessions import SessionManager
 from repro.gateway.storetier import CompactingStore, StoreBudget
+from repro.lang import parse_source
 from repro.parallel.store import PersistentSummaryStore
 from repro.service.client import ServiceClient
 from repro.service.diagnostics import envelope_records
+from repro.service.frontend import Frontend, FrontendCache
 from repro.service.session import Session
 
 CHAIN = """
@@ -214,7 +216,7 @@ class TestCompactingStore:
         # a store miss recomputes the byte-identical summaries.
         store_dir = str(tmp_path / "store")
         session = Session(
-            Analyzer.from_source(CHAIN).program, store_dir=store_dir, jobs=0
+            Frontend(parse_source(CHAIN)), store_dir=store_dir, jobs=0
         )
         session.analyze(domains=("am",))
         CompactingStore(store_dir).gc(max_bytes=0)  # evict everything
@@ -245,8 +247,7 @@ class TestSessionManager:
         }
         mgr = SessionManager(max_sessions=2, store_dir=str(tmp_path))
         for tenant in ("a", "b", "c"):
-            mgr.acquire(tenant, "p", Analyzer.from_source(
-                programs[tenant]).program)
+            mgr.acquire(tenant, "p", Frontend(parse_source(programs[tenant])))
         assert len(mgr) == 2
         assert mgr.evictions == 1
         # 'a' (the LRU victim) is gone; 'b' and 'c' are resident.
@@ -254,7 +255,7 @@ class TestSessionManager:
         mgr.close()
 
     def test_touch_refreshes_recency(self, tmp_path):
-        program = Analyzer.from_source(CHAIN).program
+        program = Frontend(parse_source(CHAIN))
         mgr = SessionManager(max_sessions=2, store_dir=str(tmp_path))
         mgr.acquire("a", "p", program)
         mgr.acquire("b", "p", program)
@@ -483,6 +484,246 @@ class TestGateway:
             sock.close()
 
 
+    def test_finding_cache_bounded_by_max_sessions(self, tmp_path):
+        gw = GatewayThread(
+            GatewayConfig(jobs=0, workers=1, max_sessions=2,
+                          store_dir=str(tmp_path / "store"))
+        ).start()
+        try:
+            with _client(gw) as client:
+
+                def mode(program_id):
+                    reply = client.check(CHAIN, query="mid:0",
+                                         program_id=program_id)
+                    return reply["result"]["mode"]
+
+                for program_id in ("p1", "p2", "p3"):
+                    assert mode(program_id) == "cold"
+                    assert mode(program_id) == "warm"
+                # p1 was the least recently used owner when p3 arrived.
+                assert mode("p2") == "warm"
+                assert mode("p3") == "warm"
+                assert mode("p1") == "cold"
+            assert len(gw.gateway.executor.check_cache) == 2
+        finally:
+            gw.stop()
+
+    def test_interleaved_sources_answer_their_own_findings(self):
+        """Two sources checked on one owner, interleaved: a request
+        answers the procedures it found reusable from the entries its
+        own partition validated, not from the entries a concurrent
+        request on the other source wrote in between."""
+        from repro.service.checkcache import CheckFindingCache
+
+        shifted = "\n" + CHAIN  # every line moves, so every key does
+        keys = {src: Frontend(parse_source(src)).keys
+                for src in (CHAIN, shifted)}
+        procs = sorted(keys[CHAIN])
+        assert all(keys[CHAIN][p] != keys[shifted][p] for p in procs)
+        cache, owner, config = CheckFindingCache(max_owners=2), ("t", "p"), (
+            "lint", "am", 0)
+
+        def fresh(tag, dirty):
+            return {"lint": {p: [{"procedure": p, "ruleId": "r",
+                                  "message": tag}] for p in dirty},
+                    "safety": {}, "termination": {}, "proc_status": {},
+                    "termination_status": {}}
+
+        def partition(src):
+            return cache.partition(owner, config, procs, keys[src],
+                                   True, False, False)
+
+        def merge(src, snapshot, results):
+            records, _ = cache.merge_and_answer(
+                owner, config, procs, snapshot, keys[src], results,
+                True, False, False)
+            return {r["procedure"]: r["message"] for r in records}
+
+        dirty, snapshot = partition(CHAIN)
+        assert merge(CHAIN, snapshot, fresh("a", dirty)) == dict.fromkeys(
+            procs, "a")
+        dirty_a, snapshot_a = partition(CHAIN)
+        assert dirty_a == [] and sorted(snapshot_a) == procs
+        dirty_b, snapshot_b = partition(shifted)
+        assert dirty_b == procs
+        assert merge(shifted, snapshot_b, fresh("b", dirty_b)) == dict.fromkeys(
+            procs, "b")
+        # The reused answer is the one validated against this source.
+        assert merge(CHAIN, snapshot_a, fresh("-", [])) == dict.fromkeys(
+            procs, "a")
+        # A flush in between cannot take reused entries away either.
+        dirty_b, snapshot_b = partition(shifted)
+        assert dirty_b == []
+        cache.flush()
+        assert merge(shifted, snapshot_b, fresh("-", [])) == dict.fromkeys(
+            procs, "b")
+
+
+# -- the shared frontend cache --------------------------------------------------
+
+NULL_DEREF = """
+proc main(x: list) returns (r: list) {
+  local t: list;
+  t = x->next;
+  r = t;
+}
+proc wrap(x: list) returns (r: list) {
+  r = main(x);
+}
+"""
+
+
+class TestFrontendCache:
+    SOURCES = (CHAIN, edit_procedure(CHAIN, "leaf"), NULL_DEREF)
+    ROOTS = ("top", "mid", "wrap")
+
+    def _ops(self):
+        ops = []
+        for tenant in ("t0", "t1", "t2"):
+            for i in range(len(self.SOURCES)):
+                ops += [("analyze", tenant, i), ("check", tenant, i),
+                        ("query", tenant, i)]
+        return ops * 2  # repeats meet warm sessions, caches and hits
+
+    def _answer(self, client, op):
+        verb, tenant, i = op
+        kwargs = {"tenant": tenant, "program_id": f"p{i}"}
+        if verb == "analyze":
+            reply = client.analyze(self.SOURCES[i], domains=["am"], **kwargs)
+            hashes = reply["result"]["summary_hashes"]
+            answer = {key: sorted(pairs) for key, pairs in hashes.items()}
+        elif verb == "check":
+            reply = client.check(self.SOURCES[i], **kwargs)
+            result = reply["result"]
+            answer = [result["ok"], result["proc_status"],
+                      envelope_records(result["diagnostics"])]
+        else:
+            reply = client.check(self.SOURCES[i], query=f"{self.ROOTS[i]}:0",
+                                 **kwargs)
+            answer = {key: value for key, value in reply["result"]["query"].items()
+                      if key != "seconds"}
+        assert reply["ok"], reply
+        return json.dumps(answer, sort_keys=True)
+
+    def test_concurrent_answers_equal_sequential(self, tmp_path):
+        ops = self._ops()
+        sequential = GatewayThread(
+            GatewayConfig(jobs=0, workers=1, store_dir=str(tmp_path / "seq"))
+        ).start()
+        try:
+            with _client(sequential) as client:
+                expected = [self._answer(client, op) for op in ops]
+        finally:
+            sequential.stop()
+
+        gw = GatewayThread(
+            GatewayConfig(jobs=0, workers=4, store_dir=str(tmp_path / "par"))
+        ).start()
+        got = [None] * len(ops)
+        errors = []
+
+        def drive(k):
+            try:
+                with _client(gw) as client:
+                    for n in range(k, len(ops), 8):
+                        got[n] = self._answer(client, ops[n])
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=drive, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            gw.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert got == expected
+
+    def test_shared_caches_under_thread_stress(self):
+        """More threads than cores, a short switch interval: a resolve
+        never returns another source's frontend, an owner never reads
+        another owner's answer, and both bounds hold."""
+        import sys
+
+        from repro.service.checkcache import CheckFindingCache
+
+        frontends = FrontendCache(max_entries=8)
+        findings = CheckFindingCache(max_owners=4)
+        sources = [f"proc p{i}(x: list) returns (r: list) {{ r = x; }}"
+                   for i in range(12)]
+        errors = []
+
+        def hammer(k):
+            try:
+                for n in range(40):
+                    i = (k + n) % len(sources)
+                    frontend, _ = frontends.resolve(sources[i])
+                    names = [p.name for p in frontend.program.procedures]
+                    assert names == [f"p{i}"] and list(frontend.keys) == names
+                    owner = (f"t{k % 3}", f"p{i}")
+                    findings.query_put(owner, ("q",), "cone", {"i": i})
+                    answer = findings.query_get(owner, ("q",), "cone")
+                    assert answer in (None, {"i": i})
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(k,))
+                   for k in range(4 * (os.cpu_count() or 2))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(frontends) == 8
+        assert len(findings) <= 4
+
+    def test_resident_sources_bounded_by_max_sessions(self, tmp_path):
+        gw = GatewayThread(
+            GatewayConfig(jobs=0, workers=1, max_sessions=8,
+                          store_dir=str(tmp_path / "store"))
+        ).start()
+        sources = [f"proc p{i}(x: list) returns (r: list) {{ r = x; }}"
+                   for i in range(9)]
+        try:
+            with _client(gw) as client:
+                for source in sources:
+                    assert client.analyze(source, domains=["am"])["ok"]
+                assert len(gw.gateway.executor.frontend) == 8
+                latest = client.analyze(sources[-1], domains=["am"])
+                assert latest["telemetry"]["frontend"] == "hit"
+                oldest = client.analyze(sources[0], domains=["am"])
+                assert oldest["telemetry"]["frontend"] == "miss"
+        finally:
+            gw.stop()
+
+    def test_edit_session_misses_once_per_source(self, gateway):
+        edits = ("leaf", "mid", "other")
+        roots = ("leaf", "mid", "top", "other")
+        source = CHAIN
+        with _client(gateway) as client:
+            assert client.analyze(source, domains=["am"])["ok"]
+            for proc in edits:
+                source = edit_procedure(source, proc)
+                edit = client.analyze(source, domains=["am"])
+                assert edit["telemetry"]["frontend"] == "miss"
+                for n in range(9):
+                    query = client.check(source, query=f"{roots[n % 4]}:0")
+                    assert query["telemetry"]["frontend"] == "hit"
+            text = client.metrics()
+        assert f'repro_frontend_total{{result="miss"}} {len(edits) + 1}' in text
+        assert f'repro_frontend_total{{result="hit"}} {9 * len(edits)}' in text
+
+
 class TestGatewayPoolIsolation:
     """Robustness with real worker processes (jobs=1)."""
 
@@ -532,6 +773,8 @@ class TestMetrics:
         assert "repro_queue_depth 0" in text
         assert "repro_request_exec_s_count 1" in text
         assert 'repro_request_exec_s{quantile="0.5"}' in text
+        assert "# TYPE repro_frontend_total counter" in text
+        assert 'repro_frontend_total{result="miss"} 1' in text
         # HTTP scrape of the same port returns the same document shape.
         _, (host, port) = gateway.address
         sock = socket.create_connection((host, port), timeout=10)

@@ -438,6 +438,49 @@ class TestServiceQueries:
             again = client.check("\n" + source, query="main:11")
             assert again["result"]["mode"] == "cold"
 
+    def test_repeated_source_parses_once(self, server, monkeypatch):
+        import repro.service.frontend as frontend_mod
+
+        from repro.lang import parse_source
+
+        parses = []
+
+        def counting_parse(source):
+            parses.append(source)
+            return parse_source(source)
+
+        monkeypatch.setattr(frontend_mod, "parse_source", counting_parse)
+        source = (CORPUS / "buggy" / "null_deref_guaranteed.lisl").read_text()
+        with self._client(server) as client:
+            first = client.check(source, query="main:10")
+            second = client.check(source, query="main:10")
+        assert len(parses) == 1
+        assert first["telemetry"]["frontend"] == "miss"
+        assert second["telemetry"]["frontend"] == "hit"
+        assert second["result"]["mode"] == "warm"
+        assert second["result"]["query"] == first["result"]["query"]
+
+    def test_line_shift_misses_frontend(self, server):
+        source = (CORPUS / "buggy" / "null_deref_guaranteed.lisl").read_text()
+        at = source.index("proc main(")
+        shifted = source[:at] + "\n" + source[at:]
+        with self._client(server) as client:
+            before = client.check(source, query="main:0")
+            assert client.check(source, query="main:0")["result"]["mode"] == "warm"
+            after = client.check(shifted, query="main:0")
+        assert after["telemetry"]["frontend"] == "miss"
+        assert after["result"]["mode"] == "cold"
+        def lines_of(reply):
+            findings = reply["result"]["query"]["findings"]
+            return [f["line"] for f in findings if f.get("line")]
+
+        old_lines, new_lines = lines_of(before), lines_of(after)
+        assert old_lines and new_lines == [line + 1 for line in old_lines]
+        text = shifted.split("\n")
+        for finding in after["result"]["query"]["findings"]:
+            if finding["ruleId"] == "safety.null-deref":
+                assert "t->next" in text[finding["line"] - 1]
+
     def test_object_query_and_rule_filter(self, server):
         source = (CORPUS / "buggy" / "null_deref_guaranteed.lisl").read_text()
         with self._client(server) as client:
