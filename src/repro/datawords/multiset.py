@@ -11,6 +11,14 @@ Entailment is row-space inclusion, the join is row-space intersection (the
 equalities implied by both sides), and the lattice is finite for a finite
 vocabulary so the widening is the join (paper: "there is no need for a
 widening operator").
+
+The rows are canonical: ``rref`` over the sorted support, which is
+unique for a row space, so equal elements have equal rows.  Under the
+fast kernels (``repro.kernels``) the operations rely on that: join and
+widen return an operand when the rows are equal or one side entails the
+other, entailment reduces by the basis leads, the meet-like transformers
+insert their rows into the basis, and projections wrap the rows they
+keep.  The reference kernels re-eliminate the whole system every time.
 """
 
 from __future__ import annotations
@@ -19,11 +27,18 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro import kernels
 from repro.datawords import terms as T
 from repro.datawords.base import LDWDomain
 from repro.numeric.linexpr import Constraint, EQ, LinExpr
-from repro.numeric.linalg import Row, nullspace as _nullspace, reduce_against as _reduce_against, rref as _rref
-
+from repro.numeric.linalg import (
+    Row,
+    insert_row as _insert_row,
+    nullspace as _nullspace,
+    reduce_against as _reduce_against,
+    rref as _rref,
+    spans as _spans,
+)
 
 
 class MultisetValue:
@@ -39,6 +54,14 @@ class MultisetValue:
             materialized = [dict(r) for r in rows if any(v != 0 for v in r.values())]
             columns = _columns(materialized)
             self.rows = tuple(_rref(materialized, columns))
+
+    @classmethod
+    def _canonical(cls, rows: Iterable[Row]) -> "MultisetValue":
+        """Wrap rows that already are ``rref`` over their sorted support."""
+        value = cls.__new__(cls)
+        value.is_bot = False
+        value.rows = tuple(rows)
+        return value
 
     def support(self) -> frozenset:
         out: Set[str] = set()
@@ -103,6 +126,8 @@ class MultisetDomain(LDWDomain):
             return True
         if value2.is_bot:
             return False
+        if kernels.FAST:
+            return len(value2.rows) <= len(value1.rows) and _spans(value1.rows, value2.rows)
         basis = list(value1.rows)
         columns = _columns(list(basis) + list(value2.rows))
         return all(not _reduce_against(r, basis, columns) for r in value2.rows)
@@ -112,6 +137,19 @@ class MultisetDomain(LDWDomain):
             return value2
         if value2.is_bot:
             return value1
+        if kernels.FAST:
+            # Equal canonical rows are equal elements, and the join of
+            # comparable elements is the weaker one.  Only a row space
+            # of lower dimension can be the weaker.
+            n1, n2 = len(value1.rows), len(value2.rows)
+            if n1 == n2:
+                if value1.rows == value2.rows:
+                    return value1
+            elif n1 > n2:
+                if _spans(value1.rows, value2.rows):
+                    return value2
+            elif _spans(value2.rows, value1.rows):
+                return value1
         rows_a = list(value1.rows)
         rows_b = list(value2.rows)
         if not rows_a or not rows_b:
@@ -152,7 +190,7 @@ class MultisetDomain(LDWDomain):
     def meet(self, value1: MultisetValue, value2: MultisetValue) -> MultisetValue:
         if value1.is_bot or value2.is_bot:
             return self.bottom()
-        return MultisetValue(list(value1.rows) + list(value2.rows))
+        return self._with_rows(value1, value2.rows)
 
     def widen(self, value1: MultisetValue, value2: MultisetValue) -> MultisetValue:
         # Finite lattice for a finite vocabulary (paper §3.3): join suffices.
@@ -188,14 +226,26 @@ class MultisetDomain(LDWDomain):
         ordering = sorted(present) + [c for c in all_cols if c not in present]
         reduced = _rref([dict(r) for r in value.rows], ordering)
         kept = [r for r in reduced if not (set(r) & present)]
-        return MultisetValue(kept)
+        # RREF with the projected columns ordered first leaves the rows
+        # free of them in RREF over the remaining (sorted) columns.
+        return MultisetValue._canonical(kept) if kernels.FAST else MultisetValue(kept)
+
+    def _with_rows(self, value: MultisetValue, rows: Sequence[Row]) -> MultisetValue:
+        """The conjunction of ``value`` with ``rows`` (a bottom ``value``
+        counts as having no rows)."""
+        if not kernels.FAST:
+            return MultisetValue(list(value.rows) + list(rows))
+        basis = list(value.rows)
+        for row in rows:
+            basis = _insert_row(basis, row)
+        if not value.is_bot and len(basis) == len(value.rows):
+            return value  # every row was already entailed
+        return MultisetValue._canonical(basis)
 
     def add_singleton_word(self, value: MultisetValue, word: str) -> MultisetValue:
         if value.is_bot:
             return value
-        rows = list(value.rows)
-        rows.append({T.mtl(word): Fraction(1)})  # mtl(word) = emptyset
-        return MultisetValue(rows)
+        return self._with_rows(value, [{T.mtl(word): Fraction(1)}])  # mtl(word) = emptyset
 
     # -- structural transformers -----------------------------------------------
 
@@ -207,8 +257,7 @@ class MultisetDomain(LDWDomain):
         for p in parts[1:]:
             row[T.mhd(p)] = row.get(T.mhd(p), 0) + 1
             row[T.mtl(p)] = row.get(T.mtl(p), 0) + 1
-        rows = list(value.rows) + [row]
-        out = MultisetValue(rows)
+        out = self._with_rows(value, [row])
         drop = {T.mtl(parts[0])}
         for p in parts[1:]:
             drop |= {T.mhd(p), T.mtl(p)}
@@ -238,9 +287,7 @@ class MultisetDomain(LDWDomain):
     def restrict_len1(self, value: MultisetValue, word: str) -> MultisetValue:
         if value.is_bot:
             return value
-        rows = list(value.rows)
-        rows.append({T.mtl(word): Fraction(1)})
-        return MultisetValue(rows)
+        return self._with_rows(value, [{T.mtl(word): Fraction(1)}])
 
     # -- data transformers --------------------------------------------------------
 
@@ -261,18 +308,14 @@ class MultisetDomain(LDWDomain):
         out = self._project_columns(value, {T.mhd(word)})
         rhs = self._term_of_expr(expr)
         if rhs is not None and rhs != T.mhd(word):
-            rows = list(out.rows)
-            rows.append({T.mhd(word): Fraction(1), rhs: Fraction(-1)})
-            out = MultisetValue(rows)
+            out = self._with_rows(out, [{T.mhd(word): Fraction(1), rhs: Fraction(-1)}])
         return out
 
     def assign_data(self, value: MultisetValue, dvar: str, expr: Optional[LinExpr]) -> MultisetValue:
         out = self._project_columns(value, {dvar})
         rhs = self._term_of_expr(expr)
         if rhs is not None and rhs != dvar:
-            rows = list(out.rows)
-            rows.append({dvar: Fraction(1), rhs: Fraction(-1)})
-            out = MultisetValue(rows)
+            out = self._with_rows(out, [{dvar: Fraction(1), rhs: Fraction(-1)}])
         return out
 
     def meet_constraint(self, value: MultisetValue, constraint: Constraint) -> MultisetValue:
@@ -290,9 +333,7 @@ class MultisetDomain(LDWDomain):
         m2 = self._term_of_expr(LinExpr({t2: 1}))
         if m1 is None or m2 is None:
             return value
-        rows = list(value.rows)
-        rows.append({m1: Fraction(1), m2: Fraction(-1)})
-        return MultisetValue(rows)
+        return self._with_rows(value, [{m1: Fraction(1), m2: Fraction(-1)}])
 
     def entails_constraint(self, value: MultisetValue, constraint: Constraint) -> bool:
         if value.is_bot:
@@ -311,6 +352,8 @@ class MultisetDomain(LDWDomain):
         row = {c: k for c, k in row.items() if k != 0}
         if not row:
             return True
+        if kernels.FAST:
+            return _spans(value.rows, [row])
         basis = list(value.rows)
         columns = _columns(basis + [row])
         return not _reduce_against(row, basis, columns)
@@ -318,6 +361,8 @@ class MultisetDomain(LDWDomain):
     def entails_row(self, value: MultisetValue, row: Row) -> bool:
         if value.is_bot:
             return True
+        if kernels.FAST:
+            return _spans(value.rows, [{c: k for c, k in row.items() if k}])
         basis = list(value.rows)
         columns = _columns(basis + [dict(row)])
         return not _reduce_against(dict(row), basis, columns)
@@ -326,25 +371,29 @@ class MultisetDomain(LDWDomain):
         """paper eq. (I): eqm(n, n0): mhd(n)=mhd(n0) ∧ mtl(n)=mtl(n0)."""
         if value.is_bot:
             return value
-        rows = list(value.rows)
-        rows.append({T.mhd(word): Fraction(1), T.mhd(copy): Fraction(-1)})
-        rows.append({T.mtl(word): Fraction(1), T.mtl(copy): Fraction(-1)})
-        return MultisetValue(rows)
+        return self._with_rows(
+            value,
+            [
+                {T.mhd(word): Fraction(1), T.mhd(copy): Fraction(-1)},
+                {T.mtl(word): Fraction(1), T.mtl(copy): Fraction(-1)},
+            ],
+        )
 
     def add_ms_eq(self, value: MultisetValue, word: str, copy: str) -> MultisetValue:
         """The weaker ``ms(word) = ms(copy)`` (whole-multiset equality)."""
         if value.is_bot:
             return value
-        rows = list(value.rows)
-        rows.append(
-            {
-                T.mhd(word): Fraction(1),
-                T.mtl(word): Fraction(1),
-                T.mhd(copy): Fraction(-1),
-                T.mtl(copy): Fraction(-1),
-            }
+        return self._with_rows(
+            value,
+            [
+                {
+                    T.mhd(word): Fraction(1),
+                    T.mtl(word): Fraction(1),
+                    T.mhd(copy): Fraction(-1),
+                    T.mtl(copy): Fraction(-1),
+                }
+            ],
         )
-        return MultisetValue(rows)
 
     # -- sigma_M support (paper Fig. 8) ------------------------------------------
 

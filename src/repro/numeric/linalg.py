@@ -13,13 +13,18 @@ unit lead only at the end.  The reduced row echelon form of a row space
 is unique, so the result is the same canonical basis the naive
 Fraction-by-Fraction elimination produces -- just without the millions
 of intermediate Fraction allocations.
+
+A *canonical basis* is ``rref(rows, sorted(columns))``: every row has a
+unit lead at its smallest column, that column is zero in every other
+row, and rows are ordered by lead.  ``spans`` and ``insert_row`` work
+on such a basis directly, without re-eliminating it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Row = Dict[str, Fraction]
 
@@ -151,3 +156,93 @@ def nullspace(rows: List[Row], unknowns: List[str]) -> List[Row]:
                 vec[lead] = -k
         basis.append(vec)
     return basis
+
+
+# -- canonical bases (rref over sorted columns) ----------------------------
+
+
+def _reduce_by_leads(row: Row, leads: Mapping[str, Row]) -> Row:
+    """``row`` minus its combination of the canonical basis ``leads``.
+
+    A lead column is zero in every other basis row, so the multiple of
+    each basis row to subtract is ``row``'s own coefficient at its lead:
+    one pass, in any order.  The result has no zero entries.
+    """
+    work = {c: k for c, k in row.items() if k}
+    for c, k in row.items():
+        b = leads.get(c)
+        if b is None or not k:
+            continue
+        for c2, v in b.items():
+            nv = work.get(c2, 0) - k * v
+            if nv:
+                work[c2] = nv
+            else:
+                work.pop(c2, None)
+    return work
+
+
+def spans(basis: Sequence[Row], rows: Iterable[Row]) -> bool:
+    """Whether every zero-free row lies in the span of a canonical basis.
+
+    A row equal to a basis row is accepted, and a row with a column
+    outside the basis's support rejected, before any reduction.
+    """
+    leads = {min(b): b for b in basis}
+    support = set().union(*basis)
+    for row in rows:
+        if not row or leads.get(min(row)) == row:
+            continue
+        if not row.keys() <= support or _reduce_by_leads(row, leads):
+            return False
+    return True
+
+
+def _canonical_row(row: Row) -> Row:
+    """The row with ints for its integral entries when all of them are
+    (int arithmetic is the cheap case for later combinations)."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    if all(v.denominator == 1 for v in row.values()):
+        return {c: v.numerator for c, v in row.items()}
+    return {c: Fraction(v) for c, v in row.items()}
+
+
+def insert_row(basis: List[Row], row: Row) -> List[Row]:
+    """``rref(basis + [row], sorted(columns))`` for a canonical ``basis``.
+
+    ``row`` is reduced by the basis leads; the remainder, scaled to a
+    unit lead at its smallest column, is eliminated from the basis rows
+    that use that column (their leads are smaller, so they keep them)
+    and placed by lead.  Returns ``basis`` itself when ``row`` lies in
+    its span.
+    """
+    lead_cols = [min(b) for b in basis]
+    work = _reduce_by_leads(row, dict(zip(lead_cols, basis)))
+    if not work:
+        return basis
+    lead = min(work)
+    p = work[lead]
+    if p != 1:
+        work = {c: Fraction(v) / p for c, v in work.items()}
+    work = _canonical_row(work)
+    out: List[Row] = []
+    placed = False
+    for b, b_lead in zip(basis, lead_cols):
+        if not placed and b_lead > lead:
+            out.append(work)
+            placed = True
+        f = b.get(lead)
+        if f:
+            b = dict(b)
+            for c, v in work.items():
+                nv = b.get(c, 0) - f * v
+                if nv:
+                    b[c] = nv
+                else:
+                    del b[c]
+            b = _canonical_row(b)
+        out.append(b)
+    if not placed:
+        out.append(work)
+    return out

@@ -381,6 +381,12 @@ class TestGateway:
                 assert response["error"]["retry_after_ms"] > 0
                 records = envelope_records(response["diagnostics"])
                 assert records[0]["ruleId"] == "queue.shed"
+            # The sheds prove only that ids 5 and 6 were admitted; the
+            # light request is sent after them, so wait until it is
+            # queued before releasing the dispatcher.
+            while (gateway.gateway.scheduler.tenants().get("light", {})
+                   .get("depth", 0) < 1) and time.monotonic() < deadline:
+                time.sleep(0.01)
             gate.set()
             rest = [_recv(fh) for _ in range(6)]  # 0..4 + light's 100
             order = [r["id"] for r in rest]

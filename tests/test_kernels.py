@@ -1,20 +1,22 @@
 """Optimized-kernel regression tests (repro.kernels fast vs reference).
 
-Covers the LP memo aliasing bug this PR fixes, bit-identical cache
-replay, the HeapSet.map identity fast path, and corpus-wide
-representation identity of fast-mode summaries against the reference
-kernels.
+Covers the LP memo aliasing bug, bit-identical cache replay, the
+HeapSet.map identity fast path, the canonical-RREF AM kernels against
+full elimination over random systems, and corpus-wide representation
+identity of fast-mode summaries against the reference kernels.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro import kernels
 from repro.core.api import Analyzer
+from repro.datawords.multiset import MultisetDomain, MultisetValue
 from repro.engine.canon import graph_hash, heapset_hash
 from repro.lang.benchlib import benchmark_program
-from repro.numeric import simplex
+from repro.numeric import linalg, simplex
 from repro.numeric.linexpr import Constraint, LinExpr
 from repro.numeric.polyhedra import Polyhedron
 
@@ -143,6 +145,145 @@ def test_heapset_map_identity_returns_self():
         assert changed is not summary
 
 
+# -- canonical AM kernels against full elimination ----------------------------
+#
+# Seeded random sparse homogeneous systems over a few columns, so that
+# entailment, comparable joins and rows already in the span all occur.
+
+_COLUMNS = [f"c{i}" for i in range(7)]
+
+
+def _random_row(rng):
+    return {
+        c: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+        for c in rng.sample(_COLUMNS, rng.randint(1, 4))
+    }
+
+
+def _combination(rng, rows):
+    """A random nonzero combination of ``rows`` (or a fresh row)."""
+    out = {}
+    for row in rows:
+        k = rng.choice((-2, -1, 0, 1, Fraction(1, 2)))
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + k * v
+    out = {c: v for c, v in out.items() if v}
+    return out or _random_row(rng)
+
+
+def _random_system(rng, max_rows=5):
+    return [_random_row(rng) for _ in range(rng.randint(0, max_rows))]
+
+
+def _canonical(rows):
+    return linalg.rref(rows, sorted(set().union(*rows)))
+
+
+def _value_pairs(rng, n):
+    """Pairs of AM values: unrelated, equal, and one entailing the other."""
+    pairs = []
+    for _ in range(n):
+        a = MultisetValue(_random_system(rng))
+        pick = rng.random()
+        if pick < 0.2:
+            b = MultisetValue(a.rows)
+        elif pick < 0.6:
+            b = MultisetValue([_combination(rng, a.rows)
+                               for _ in range(rng.randint(0, 2))])
+        else:
+            b = MultisetValue(_random_system(rng))
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    return pairs
+
+
+def test_row_insertion_equals_full_rref():
+    rng = random.Random(1)
+    in_span = 0
+    for _ in range(3000):
+        basis = _canonical(_random_system(rng))
+        new = [
+            _combination(rng, basis) if rng.random() < 0.3 else _random_row(rng)
+            for _ in range(rng.randint(1, 2))
+        ]
+        got = basis
+        for row in new:
+            before = got
+            got = linalg.insert_row(got, row)
+            if got is before:
+                in_span += 1
+        assert got == _canonical(basis + new), (basis, new)
+    assert in_span > 300
+
+
+def test_lead_indexed_entailment_equals_reduction():
+    rng = random.Random(2)
+    domain = MultisetDomain()
+    cases = []
+    for a, b in _value_pairs(rng, 3000):
+        row = _combination(rng, a.rows) if rng.random() < 0.5 else _random_row(rng)
+        cases.append((a, b, row))
+        columns = sorted(set().union(row, *a.rows))
+        assert linalg.spans(a.rows, [row]) == (
+            not linalg.reduce_against(row, list(a.rows), columns)
+        )
+
+    def run():
+        return [
+            (domain.leq(a, b), domain.leq(b, a), domain.entails_row(a, row))
+            for a, b, row in cases
+        ]
+
+    fast = run()
+    kernels.set_mode("reference")
+    assert run() == fast
+    assert sum(leq for leq, _, _ in fast) > 500
+    assert sum(entailed for _, _, entailed in fast) > 500
+
+
+def test_shortcut_join_equals_nullspace_join():
+    rng = random.Random(3)
+    domain = MultisetDomain()
+    pairs = _value_pairs(rng, 3000)
+
+    def run():
+        return [
+            (domain.join(a, b).rows, domain.meet(a, b).rows) for a, b in pairs
+        ]
+
+    fast = run()
+    kernels.set_mode("reference")
+    assert run() == fast
+    general = sum(
+        not domain.leq(a, b) and not domain.leq(b, a) for a, b in pairs
+    )
+    assert general > 300
+
+
+def test_projection_rows_are_canonical():
+    rng = random.Random(4)
+    domain = MultisetDomain()
+    cases = [
+        (MultisetValue(_random_system(rng, 6)), set(rng.sample(_COLUMNS, rng.randint(1, 3))))
+        for _ in range(3000)
+    ]
+    fast = [domain._project_columns(value, cols) for value, cols in cases]
+    for (value, cols), out in zip(cases, fast):
+        assert list(out.rows) == _canonical(list(out.rows))
+        # The kept rows span exactly the rows of the value free of
+        # ``cols``: entailed by it, and of dimension rank(value) minus
+        # the rank of its rows restricted to ``cols``.
+        assert not out.support() & cols
+        assert domain.leq(value, out)
+        on_cols = [{c: k for c, k in r.items() if c in cols} for r in value.rows]
+        assert len(out.rows) == len(value.rows) - len(
+            linalg.rref(on_cols, sorted(cols))
+        )
+    kernels.set_mode("reference")
+    assert [domain._project_columns(v, c).rows for v, c in cases] == [
+        out.rows for out in fast
+    ]
+
+
 # -- corpus-wide representation identity --------------------------------------
 
 IDENTITY_ROWS = [
@@ -150,6 +291,8 @@ IDENTITY_ROWS = [
     ("delfst", "am"),
     ("insertsort", "am"),
     ("merge", "am"),
+    ("mergesort", "am"),
+    ("quicksort", "am"),
     ("create", "au"),
     ("delfst", "au"),
 ]
