@@ -4,52 +4,30 @@ Runs each benchmark function's analysis in AHS(AM) and AHS(AU) (with the
 §7 pattern heuristic), times it, and checks the synthesized summary
 against the paper's reported summary for that row (entailment of the
 published formula, not wall-clock equality -- see EXPERIMENTS.md).
+
+Every row runs as :func:`row_task` on the fault-isolated worker pool of
+``repro.parallel`` through :func:`run_pool`; ``run_table1.py`` is the
+driver.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro import Analyzer, choose_patterns
+from repro import Analyzer, choose_patterns, kernels
 from repro.core.assertions import _check_equal, _check_sorted
 from repro.datawords import terms as T
 from repro.datawords.multiset import MultisetDomain
 from repro.datawords.patterns import GuardInstance
-from repro.lang.benchlib import TABLE1, BenchEntry, benchmark_program, entry
+from repro.lang.benchlib import benchmark_program
 from repro.numeric.linexpr import Constraint, LinExpr
 from repro.shape.graph import NULL
 
+from dll_suite import dll_program
+
 _AM = MultisetDomain()
-
-
-@dataclass
-class RowResult:
-    entry: BenchEntry
-    am_time: Optional[float]
-    au_time: Optional[float]
-    patterns: Tuple[str, ...]
-    summary_ok: Optional[bool]  # None = no check defined
-    note: str = ""
-    # Engine telemetry for the analysis run (records, steps, widenings,
-    # scheduler and cache counters) -- printed next to the timings.
-    stats: Optional[dict] = None
-
-    def engine_summary(self) -> str:
-        """One-line engine accounting for table printing."""
-        if not self.stats:
-            return ""
-        sched = self.stats.get("scheduler", {})
-        cache = self.stats.get("cache", {})
-        return (
-            f"rec={self.stats.get('records', 0)} "
-            f"steps={self.stats.get('steps', 0)} "
-            f"rerun={self.stats.get('records.reanalyzed', 0)} "
-            f"pops={sched.get('pops', 0)} "
-            f"hits={cache.get('hits', 0)}"
-        )
 
 
 def _first_list(params):
@@ -262,9 +240,8 @@ AU_CHECKS: Dict[str, Callable] = {
     "mergesort": check_sorted_output,
 }
 
-# Functions whose AU analysis completes quickly enough for the default
-# pytest-benchmark run on one CPU; the others run in the full sweep
-# (benchmarks/run_table1.py, REPRO_FULL_TABLE1=1).
+# Functions whose AU analysis completes quickly enough for the ``--smoke``
+# set on one CPU; the others run in the full table (run_table1.py).
 AU_FAST = [
     "create",
     "addfst",
@@ -275,70 +252,84 @@ AU_FAST = [
 ]
 
 
-def analyze_row(
-    analyzer: Analyzer,
-    entry: BenchEntry,
-    domain: str,
-    max_steps: int = 400_000,
-    max_seconds: Optional[float] = None,
-) -> RowResult:
-    start = time.perf_counter()
-    note = ""
-    summary_ok: Optional[bool] = None
-    stats: Optional[dict] = None
-    try:
-        result = analyzer.analyze(
-            entry.name,
-            domain=domain,
-            max_steps=max_steps,
-            max_seconds=max_seconds,
-        )
-        elapsed = time.perf_counter() - start
-        stats = result.stats
-        if result.diagnostics:  # budget exhausted -> partial summaries
-            note = result.diagnostics[0].kind
-        else:
-            check = (AM_CHECKS if domain == "am" else AU_CHECKS).get(entry.name)
-            if check is not None:
-                summary_ok = check(analyzer, entry.name, result)
-    except Exception as exc:  # cutpoints or unsupported constructs
-        elapsed = time.perf_counter() - start
-        note = f"{type(exc).__name__}"
-    patterns = tuple(sorted(choose_patterns(analyzer.icfg, entry.name)))
-    return RowResult(
-        entry=entry,
-        am_time=elapsed if domain == "am" else None,
-        au_time=elapsed if domain == "au" else None,
-        patterns=patterns,
-        summary_ok=summary_ok,
-        note=note,
-        stats=stats,
-    )
-
-
-def fresh_analyzer() -> Analyzer:
+def fresh_analyzer(name: str) -> Analyzer:
+    """An analyzer over the suite program that defines ``name``."""
+    if name.startswith("dll_"):
+        return Analyzer(dll_program())
     return Analyzer(benchmark_program())
 
 
-# -- pool-backed suite execution (run_table1.py / bench_table1.py --jobs) -----
+def engine_summary(stats: dict) -> str:
+    """One-line engine accounting for table printing."""
+    if not stats:
+        return ""
+    sched = stats.get("scheduler", {})
+    cache = stats.get("cache", {})
+    return (
+        f"rec={stats.get('records', 0)} "
+        f"steps={stats.get('steps', 0)} "
+        f"rerun={stats.get('records.reanalyzed', 0)} "
+        f"pops={sched.get('pops', 0)} "
+        f"hits={cache.get('hits', 0)}"
+    )
 
 
-def analyze_task(name: str, domain: str, max_seconds: Optional[float] = None) -> dict:
-    """Pool worker: one Table 1 row analysis in a fresh process."""
-    analyzer = fresh_analyzer()
-    row = analyze_row(analyzer, entry(name), domain, max_seconds=max_seconds)
+def dll_consistent(analyzer, name: str, domain: str, budget) -> Optional[bool]:
+    """Did the Tier-B checker prove ``safety.dll-consistent`` for ``name``?"""
+    from repro.checker.findings import SAFE
+    from repro.checker.safety import SafetyOptions, check_safety
+
+    report = check_safety(
+        analyzer,
+        SafetyOptions(domain=domain, procs=(name,), max_seconds=budget),
+    )
+    verdict = report.dll_consistent_verdict(name)
+    return None if verdict is None else verdict == SAFE
+
+
+def row_task(name: str, domain: str, mode: str, budget: Optional[float]) -> dict:
+    """Pool worker: one Table 1 or DLL (``dll_*``) row in a fresh analyzer.
+
+    Runs under kernel ``mode`` and returns the analysis time, a ``note``
+    (the budget diagnostic that cut the run short, ``timeout`` for the
+    wall clock; empty when it completed), the sorted summary hashes, and
+    ``ok``: the paper check (``AM_CHECKS``/``AU_CHECKS``) for a Table 1
+    row, the ``safety.dll-consistent`` verdict for a DLL row, ``None``
+    when the row has no check or did not complete.  An exception
+    propagates to the pool, which reports the row as failed.
+    """
+    kernels.set_mode(mode)
+    analyzer = fresh_analyzer(name)
+    start = time.perf_counter()
+    result = analyzer.analyze(
+        name, domain=domain, max_steps=400_000, max_seconds=budget
+    )
+    elapsed = time.perf_counter() - start
+    note = ""
+    ok: Optional[bool] = None
+    if result.diagnostics:  # budget exhausted -> partial summaries
+        kind = result.diagnostics[0].kind
+        note = "timeout" if kind == "wall_clock" else kind
+    elif name.startswith("dll_"):
+        ok = dll_consistent(analyzer, name, domain, budget)
+    else:
+        check = (AM_CHECKS if domain == "am" else AU_CHECKS).get(name)
+        if check is not None:
+            ok = check(analyzer, name, result)
     return {
         "name": name,
         "domain": domain,
-        "time": row.am_time if domain == "am" else row.au_time,
-        "ok": row.summary_ok,
-        "note": row.note,
-        "patterns": row.patterns,
-        "engine": row.engine_summary(),
+        "time": elapsed,
+        "note": note,
+        "ok": ok,
+        "patterns": tuple(sorted(choose_patterns(analyzer.icfg, name))),
+        "engine": engine_summary(result.stats),
+        # JSON lists, so they compare equal to a reloaded BENCH_table1.json.
+        "hashes": [list(pair) for pair in sorted(result.summary_hashes())],
     }
 
 
-def checker_task(name: str, max_seconds: Optional[float] = None) -> dict:
+def checker_task(name: str, budget: Optional[float]) -> dict:
     """Pool worker: Tier-B safety checking of one Table 1 function.
 
     Reports the checker's wall time next to the analysis times so the
@@ -348,51 +339,19 @@ def checker_task(name: str, max_seconds: Optional[float] = None) -> dict:
     """
     from repro.checker.safety import SafetyOptions, check_safety
 
-    analyzer = fresh_analyzer()
+    analyzer = fresh_analyzer(name)
     start = time.perf_counter()
     report = check_safety(
         analyzer,
-        SafetyOptions(domain="am", procs=(name,), max_seconds=max_seconds),
+        SafetyOptions(domain="am", procs=(name,), max_seconds=budget),
     )
     return {
-        "name": name,
         "checker_time": time.perf_counter() - start,
         "verdicts": report.counts(),
-        "status": report.proc_status.get(name, "ok"),
     }
 
 
-def checker_suite(names, jobs: int, budget: Optional[float] = None):
-    """Tier-B checker timings for Table 1 rows on the worker pool."""
-    from repro.parallel.pool import PoolTask, WorkerPool
-
-    tasks = [
-        PoolTask(
-            task_id=f"{name}.checker",
-            fn=checker_task,
-            args=(name,),
-            kwargs={"max_seconds": budget},
-            budget=budget,
-        )
-        for name in names
-    ]
-    results = {}
-    pool = WorkerPool(jobs=jobs, hard_grace=30.0)
-    for outcome in pool.run(tasks):
-        name = outcome.task_id.rpartition(".")[0]
-        if outcome.status == "ok":
-            results[name] = outcome.result
-        else:
-            results[name] = {
-                "name": name,
-                "checker_time": None,
-                "verdicts": {},
-                "status": outcome.status,
-            }
-    return results
-
-
-def termination_task(name: str, max_seconds: Optional[float] = None) -> dict:
+def termination_task(name: str, budget: Optional[float]) -> dict:
     """Pool worker: termination verdict for one Table 1 function.
 
     The suite-level acceptance bar is *zero possibly-nonterminating
@@ -402,101 +361,53 @@ def termination_task(name: str, max_seconds: Optional[float] = None) -> dict:
     """
     from repro.termination.driver import TerminationOptions, check_termination
 
-    analyzer = fresh_analyzer()
+    analyzer = fresh_analyzer(name)
     start = time.perf_counter()
     report = check_termination(
         analyzer,
-        TerminationOptions(procs=[name], max_seconds=max_seconds),
+        TerminationOptions(procs=[name], max_seconds=budget),
     )
     return {
-        "name": name,
         "termination_time": time.perf_counter() - start,
         "verdict": report.proc_verdict(name),
-        "status": report.proc_status.get(name, "ok"),
     }
 
 
-def termination_suite(names, jobs: int, budget: Optional[float] = None):
-    """Termination verdicts for Table 1 rows on the worker pool."""
-    from repro.parallel.pool import PoolTask, WorkerPool
-
-    tasks = [
-        PoolTask(
-            task_id=f"{name}.termination",
-            fn=termination_task,
-            args=(name,),
-            kwargs={"max_seconds": budget},
-            budget=budget,
-        )
-        for name in names
-    ]
-    results = {}
-    pool = WorkerPool(jobs=jobs, hard_grace=30.0)
-    for outcome in pool.run(tasks):
-        name = outcome.task_id.rpartition(".")[0]
-        if outcome.status == "ok":
-            results[name] = outcome.result
-        else:
-            results[name] = {
-                "name": name,
-                "termination_time": None,
-                "verdict": "unknown",
-                "status": outcome.status,
-            }
-    return results
+# Notes for tasks the pool could not finish; a task that raised is noted
+# by its exception type.
+_POOL_NOTES = {"budget": "timeout", "crashed": "crash"}
 
 
-def run_suite(
-    pairs,
-    jobs: int,
-    budget: Optional[float] = None,
-    on_outcome=None,
-):
-    """Run ``(name, domain)`` rows on the worker pool.
+def run_pool(fn, keys, jobs: int, budget: Optional[float], fallback: dict):
+    """Run ``fn(*key, budget)`` for every key tuple on the worker pool.
 
-    Returns ``(results, wall)`` where ``results`` maps each pair to the
-    ``analyze_task`` dict extended with the pool's outcome fields
-    (``status``, ``wall``, ``retries``).  Rows that blow the wall budget
-    come back with ``note="timeout"`` — either cooperatively (the
-    engine's ``max_seconds`` diagnostic) or via the pool's hard kill when
-    a single step cannot observe the deadline.
+    Returns ``{key: result}``.  Each result carries the pool's ``status``
+    (``ok``, ``budget``, ``crashed`` or ``failed``); a task that did not
+    return is a copy of ``fallback`` with a ``note`` saying why.  The
+    budget is enforced both cooperatively (``fn`` passes it to the
+    engine) and by the pool's hard kill, for single steps that cannot
+    observe the deadline; a crashed worker is retried once.  Each
+    outcome prints one line as it finishes.
     """
     from repro.parallel.pool import PoolTask, WorkerPool
 
-    start = time.perf_counter()
+    ids = {".".join((fn.__name__,) + key): key for key in keys}
     tasks = [
-        PoolTask(
-            task_id=f"{name}.{domain}",
-            fn=analyze_task,
-            args=(name, domain),
-            kwargs={"max_seconds": budget},
-            budget=budget,
-        )
-        for name, domain in pairs
+        PoolTask(task_id=task_id, fn=fn, args=key + (budget,), budget=budget)
+        for task_id, key in ids.items()
     ]
+
+    def show(outcome):
+        print(f"  {outcome.describe()}", flush=True)
+
     results = {}
     pool = WorkerPool(jobs=jobs, hard_grace=30.0)
-    for outcome in pool.run(tasks, on_outcome=on_outcome):
-        name, _, domain = outcome.task_id.rpartition(".")
-        if outcome.status == "ok":
-            row = dict(outcome.result)
-            if row["note"] == "wall_clock":
-                row["note"] = "timeout"
+    for outcome in pool.run(tasks, on_outcome=show):
+        if outcome.ok:
+            result = dict(outcome.result)
         else:
-            note = {"budget": "timeout", "crashed": "crash"}.get(
-                outcome.status, outcome.status
-            )
-            row = {
-                "name": name,
-                "domain": domain,
-                "time": None,
-                "ok": None,
-                "note": note,
-                "patterns": (),
-                "engine": "",
-            }
-        row["status"] = outcome.status
-        row["wall"] = outcome.wall_time
-        row["retries"] = outcome.retries
-        results[(name, domain)] = row
-    return results, time.perf_counter() - start
+            note = _POOL_NOTES.get(outcome.status) or outcome.error["type"]
+            result = dict(fallback, note=note)
+        result["status"] = outcome.status
+        results[ids[outcome.task_id]] = result
+    return results

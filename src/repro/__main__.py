@@ -111,16 +111,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not result.ok:
             exit_code = 1
         if args.json:
-            from repro.engine.canon import graph_hash, heapset_hash
-
             out.append({
                 "proc": proc,
                 "domain": result.domain_name,
                 "ok": result.ok,
-                "summary_hashes": [
-                    (graph_hash(e.graph), heapset_hash(s, result.domain))
-                    for e, s in result.summaries
-                ],
+                "summary_hashes": result.summary_hashes(),
                 "diagnostics": [str(d) for d in result.diagnostics],
                 "stats": {k: v for k, v in result.stats.items()
                           if isinstance(v, (int, float, str))},

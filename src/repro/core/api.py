@@ -24,6 +24,7 @@ from repro.datawords.multiset import MultisetDomain
 from repro.datawords.patterns import PatternSet, pattern_set
 from repro.datawords.universal import UniversalDomain
 from repro.engine import EngineOptions, SummaryCache
+from repro.engine.canon import graph_hash, heapset_hash
 from repro.lang import parse_source
 from repro.lang.cfg import ICFG, build_icfg
 from repro.shape.abstract_heap import AbstractHeap
@@ -120,6 +121,15 @@ class AnalysisResult:
             lines.append(f"entry: {entry.graph!r}")
             lines.append(summary.describe(self.domain))
         return "\n".join(lines)
+
+    def summary_hashes(self) -> List[Tuple[str, str]]:
+        """``(graph_hash(entry), heapset_hash(summary))`` per summary, in
+        ``summaries`` order: the canonical, process-independent
+        fingerprint that identity gates and baselines compare."""
+        return [
+            (graph_hash(entry.graph), heapset_hash(summary, self.domain))
+            for entry, summary in self.summaries
+        ]
 
     def exit_heaps(self) -> List[AbstractHeap]:
         out = []

@@ -305,6 +305,8 @@ class MultisetDomain(LDWDomain):
         return term  # a data variable
 
     def assign_hd(self, value: MultisetValue, word: str, expr: Optional[LinExpr]) -> MultisetValue:
+        if value.is_bot:
+            return value
         out = self._project_columns(value, {T.mhd(word)})
         rhs = self._term_of_expr(expr)
         if rhs is not None and rhs != T.mhd(word):
@@ -312,6 +314,8 @@ class MultisetDomain(LDWDomain):
         return out
 
     def assign_data(self, value: MultisetValue, dvar: str, expr: Optional[LinExpr]) -> MultisetValue:
+        if value.is_bot:
+            return value
         out = self._project_columns(value, {dvar})
         rhs = self._term_of_expr(expr)
         if rhs is not None and rhs != dvar:

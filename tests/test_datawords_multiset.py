@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from repro import kernels
 from repro.datawords import terms as T
 from repro.datawords.multiset import MultisetDomain, MultisetValue
 from repro.numeric.linexpr import Constraint, LinExpr
@@ -187,6 +190,14 @@ class TestDataTransformers:
     def test_assign_data(self):
         v = AM.assign_data(AM.top(), "d", LinExpr.var(T.hd("x")))
         assert AM.entails_row(v, {"d": Fraction(1), T.mhd("x"): Fraction(-1)})
+
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_assignments_keep_bottom(self, mode):
+        with kernels.mode_ctx(mode):
+            hd = AM.assign_hd(AM.bottom(), "x", LinExpr.var("d"))
+            data = AM.assign_data(AM.bottom(), "d", LinExpr.var("e"))
+        assert AM.is_bottom(hd)
+        assert AM.is_bottom(data)
 
     def test_meet_constraint_singleton_equality(self):
         c = Constraint.eq(LinExpr.var(T.hd("x")), LinExpr.var("d"))

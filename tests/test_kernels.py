@@ -14,7 +14,6 @@ import pytest
 from repro import kernels
 from repro.core.api import Analyzer
 from repro.datawords.multiset import MultisetDomain, MultisetValue
-from repro.engine.canon import graph_hash, heapset_hash
 from repro.lang.benchlib import benchmark_program
 from repro.numeric import linalg, simplex
 from repro.numeric.linexpr import Constraint, LinExpr
@@ -302,10 +301,7 @@ def _summary_hashes(name, domain):
     analyzer = Analyzer(benchmark_program())
     result = analyzer.analyze(name, domain=domain, max_steps=400_000)
     assert not result.diagnostics, (name, domain, result.diagnostics)
-    return sorted(
-        (graph_hash(entry.graph), heapset_hash(summary, result.domain))
-        for entry, summary in result.summaries
-    )
+    return sorted(result.summary_hashes())
 
 
 @pytest.mark.parametrize("name,domain", IDENTITY_ROWS)

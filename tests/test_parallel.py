@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.api import Analyzer
-from repro.engine.canon import graph_hash, heapset_hash
 from repro.engine.telemetry import merge_traces
 from repro.parallel import (
     PersistentSummaryStore,
@@ -347,11 +346,7 @@ def test_batch_matches_direct_analyze():
     (outcome,) = report.outcomes
     assert outcome.status == "ok"
     result = Analyzer(program).analyze("delfst", domain="am")
-    direct = [
-        (graph_hash(entry.graph), heapset_hash(summary, result.domain))
-        for entry, summary in result.summaries
-    ]
-    assert outcome.result.summary_hashes == direct
+    assert outcome.result.summary_hashes == result.summary_hashes()
 
 
 def test_batch_fault_injection_retries_to_correct_result(tmp_path, monkeypatch):

@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.core.api import Analyzer  # noqa: E402
-from repro.engine.canon import graph_hash, heapset_hash  # noqa: E402
 from repro.fuzz.__main__ import load_corpus_entry  # noqa: E402
 from repro.lang.benchlib import TABLE1, benchmark_program  # noqa: E402
 
@@ -40,10 +39,8 @@ SLOW_AU_CORPUS = {"nested_sweep.lisl"}
 
 def summary_hashes(analyzer: Analyzer, proc: str, domain: str):
     result = analyzer.analyze(proc, domain=domain, max_steps=400_000)
-    return sorted(
-        [graph_hash(entry.graph), heapset_hash(summary, result.domain)]
-        for entry, summary in result.summaries
-    )
+    # JSON lists, so the committed baseline compares equal on reload.
+    return sorted(list(pair) for pair in result.summary_hashes())
 
 
 def corpus_entries():
