@@ -14,39 +14,16 @@ Wired into the fuzz CLI as ``python -m repro.fuzz --check-safety``.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.concrete.heap import Cell, dll_violations, to_cells, to_dll_cells
-from repro.concrete.interp import (
-    AssertFailure,
-    AssumeFailure,
-    ConcreteError,
-    Interpreter,
-)
+from repro.concrete.heap import Cell, dll_violations
+from repro.concrete.interp import ConcreteError
 from repro.core.api import Analyzer
-from repro.fuzz.oracle import Finding
-from repro.lang import ast as A
+from repro.fuzz.oracle import DifferentialOracle, Finding
 from repro.lang.ast import uses_prev
-from repro.lang.normalize import normalize_program
-from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
-from repro.lang.typecheck import typecheck_program
 from repro.checker.findings import SAFE
 from repro.checker.safety import SafetyOptions, SafetyReport, check_safety
-
-
-@dataclass
-class CrossCheckConfig:
-    rounds: int = 5  # concrete executions per program
-    max_interp_steps: int = 200_000
-    domain: str = "am"
-    engine_max_steps: Optional[int] = 60_000
-    engine_max_seconds: Optional[float] = 30.0
-    max_list_len: int = 4
-    data_lo: int = -9
-    data_hi: int = 9
 
 
 # One concrete observation: ("deref", proc, line) | ("leak", proc, None)
@@ -54,18 +31,16 @@ class CrossCheckConfig:
 Event = Tuple[str, str, Optional[int]]
 
 
-def _walk(cell: Optional[Cell]) -> Tuple[Set[int], Dict[int, Cell], bool]:
-    """Follow ``next`` from a cell; returns (ids, id->cell, sees_cycle)."""
+def _walk(cell: Optional[Cell]) -> Tuple[Set[int], bool]:
+    """Follow ``next`` from a cell; returns (cell ids, sees_cycle)."""
     ids: Set[int] = set()
-    cells: Dict[int, Cell] = {}
     cur = cell
     while isinstance(cur, Cell):
         if id(cur) in ids:
-            return ids, cells, True
+            return ids, True
         ids.add(id(cur))
-        cells[id(cur)] = cur
         cur = cur.next
-    return ids, cells, False
+    return ids, False
 
 
 class _FrameObserver:
@@ -80,7 +55,7 @@ class _FrameObserver:
         reach_io: Set[int] = set()
         cyclic = False
         for name in sorted(io_names):
-            ids, _cells, saw_cycle = _walk(env.get(name))
+            ids, saw_cycle = _walk(env.get(name))
             reach_io |= ids
             cyclic = cyclic or saw_cycle
         if self.dll:
@@ -95,7 +70,7 @@ class _FrameObserver:
         for name in sorted(env):
             if name in io_names or not isinstance(env.get(name), Cell):
                 continue
-            ids, _cells, saw_cycle = _walk(env[name])
+            ids, saw_cycle = _walk(env[name])
             cyclic = cyclic or saw_cycle
             if ids - reach_io:
                 leaked = True
@@ -105,84 +80,27 @@ class _FrameObserver:
             self.events.append(("cycle", proc_name, None))
 
 
-class CrossChecker:
-    """Concrete-vs-checker differential harness (the ``--check-safety`` oracle)."""
+class CrossChecker(DifferentialOracle):
+    """Concrete-vs-checker differential harness (the ``--check-safety`` oracle).
 
-    def __init__(self, config: Optional[CrossCheckConfig] = None):
-        self.config = config or CrossCheckConfig()
-        # run -> concrete execution ended early (budget/stuck, not a deref)
-        self.skips: Dict[str, int] = {"run": 0}
+    Judges the Tier-B verdicts of ``config.domains[0]``.
+    """
 
-    # -- input generation (mirrors fuzz.oracle) ---------------------------------
+    crash_domain = "checker"
+    # run -> concrete execution ended early (budget/stuck, not a deref)
+    skip_keys = ("run",)
 
-    def random_input_views(self, rng: random.Random, cfg) -> List:
-        views: List = []
-        for p in cfg.inputs:
-            if p.type == A.INT:
-                views.append(rng.randint(self.config.data_lo, self.config.data_hi))
-            else:
-                views.append(
-                    [
-                        rng.randint(self.config.data_lo, self.config.data_hi)
-                        for _ in range(rng.randint(0, self.config.max_list_len))
-                    ]
-                )
-        return views
-
-    # -- entry points -----------------------------------------------------------
-
-    def check_program(self, program: A.Program, root: str, seed: int) -> List[Finding]:
-        try:
-            norm = normalize_program(typecheck_program(program))
-            analyzer = Analyzer(norm)
-            cfg = analyzer.icfg.cfg(root)
-        except Exception as exc:  # generator guarantees this never happens
-            return [
-                Finding(
-                    kind="crash",
-                    domain="checker",
-                    root=root,
-                    message=f"{type(exc).__name__}: {exc}",
-                    source=pretty_program(program),
-                    seed=seed,
-                )
-            ]
-        rng = random.Random(seed)
-        views_list = [
-            self.random_input_views(rng, cfg) for _ in range(self.config.rounds)
-        ]
-        return self.check_views(program, root, views_list, seed=seed)
-
-    def check_source(
-        self,
-        source: str,
-        root: str,
-        views_list: Sequence[List],
-        seed: Optional[int] = None,
-    ) -> List[Finding]:
-        """Replay a corpus entry: parse source, then :meth:`check_views`."""
-        program = typecheck_program(parse_program(source))
-        return self.check_views(program, root, views_list, seed=seed)
-
-    def check_views(
-        self,
-        program: A.Program,
-        root: str,
-        views_list: Sequence[List],
-        seed: Optional[int] = None,
-    ) -> List[Finding]:
-        norm = normalize_program(typecheck_program(program))
-        analyzer = Analyzer(norm)
+    def judge(self, program, analyzer, root, views_list, seed):
         source = pretty_program(program)
         report = check_safety(
             analyzer,
             SafetyOptions(
-                domain=self.config.domain,
+                domain=self.config.domains[0],
                 max_steps=self.config.engine_max_steps,
                 max_seconds=self.config.engine_max_seconds,
             ),
         )
-        events = self._observe_events(analyzer, root, views_list, dll=uses_prev(norm))
+        events = self._observe_events(analyzer, root, views_list)
         return self._contradictions(report, events, root, source, seed)
 
     # -- concrete side ----------------------------------------------------------
@@ -192,29 +110,25 @@ class CrossChecker:
         analyzer: Analyzer,
         root: str,
         views_list: Sequence[List],
-        dll: bool = False,
     ) -> List[Event]:
         events: List[Event] = []
-        interp = Interpreter(
-            analyzer.icfg, max_steps=self.config.max_interp_steps
-        )
-        interp.frame_observer = _FrameObserver(events, dll=dll)
-        cfg = analyzer.icfg.cfg(root)
-        build = to_dll_cells if dll else to_cells
-        for views in views_list:
-            args = [
-                build(list(v)) if isinstance(v, list) else v for v in views
-            ]
-            if len(args) != len(cfg.inputs):
+        dll = uses_prev(analyzer.program)
+        for _views, _outputs, error in self.concrete_runs(
+            analyzer.icfg,
+            root,
+            views_list,
+            dll,
+            frame_observer=_FrameObserver(events, dll=dll),
+        ):
+            if error is None:
                 continue
-            try:
-                interp.run(root, args)
-            except ConcreteError as exc:
-                if str(exc).startswith("NULL dereference") and exc.proc:
-                    events.append(("deref", exc.proc, exc.line))
-                else:
-                    self.skips["run"] += 1
-            except (AssumeFailure, AssertFailure, RecursionError):
+            if (
+                isinstance(error, ConcreteError)
+                and str(error).startswith("NULL dereference")
+                and error.proc
+            ):
+                events.append(("deref", error.proc, error.line))
+            else:
                 self.skips["run"] += 1
         return events
 
@@ -228,24 +142,8 @@ class CrossChecker:
         source: str,
         seed: Optional[int],
     ) -> List[Finding]:
-        findings: List[Finding] = []
-        seen: Set[Tuple] = set()
-
-        def add(message: str) -> None:
-            if message in seen:
-                return
-            seen.add(message)
-            findings.append(
-                Finding(
-                    kind="checker",
-                    domain=self.config.domain,
-                    root=root,
-                    message=message,
-                    source=source,
-                    seed=seed,
-                )
-            )
-
+        messages: List[str] = []
+        add = messages.append
         for kind, proc, line in events:
             if report.proc_status.get(proc, "ok") != "ok":
                 continue  # verdicts already degraded to unknown
@@ -278,4 +176,14 @@ class CrossChecker:
                     f"concrete back-pointer violation at exit of {proc} "
                     "contradicts a safe dll-consistent verdict"
                 )
-        return findings
+        return [
+            Finding(
+                kind="checker",
+                domain=self.config.domains[0],
+                root=root,
+                message=message,
+                source=source,
+                seed=seed,
+            )
+            for message in dict.fromkeys(messages)  # distinct, first-seen order
+        ]

@@ -1,4 +1,4 @@
-"""Hash-keyed summary cache with optional on-disk persistence.
+"""Hash-keyed in-memory summary cache.
 
 The engine tabulates one record per ``(procedure, entry configuration)``
 *within* a run, but the seed threw all of that work away between runs —
@@ -15,24 +15,18 @@ tables (every ``(proc, entry, summary)`` of the run, not only the root's)
 keeps the AM-strengthening hook exact: it looks up callee records of the
 AM engine by entry key, and those must all be present on a hit.
 
-The optional on-disk store is a JSON file mapping cache keys to metadata
-plus a base64-pickled record payload (summaries contain domain values —
-exact rationals, polyhedra — with no faithful pure-JSON form).  Corrupt or
-incompatible files are discarded, never trusted.
+Cross-run persistence is :class:`repro.parallel.store.PersistentSummaryStore`
+(one file per key, safe for worker pools); it shares this module's
+payload encoding, a base64 pickle inside JSON (summaries contain domain
+values — exact rationals, polyhedra — with no faithful pure-JSON form).
 """
 
 from __future__ import annotations
 
 import base64
-import json
-import os
 import pickle
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
-
-# Bump when the pickled payload layout changes; old stores are discarded.
-STORE_VERSION = 1
-
+from typing import Any, Dict, Optional, Tuple
 
 CacheKey = Tuple  # (program_fp, proc, domain_desc, k, hook_tag, assume_tag)
 
@@ -56,18 +50,13 @@ class SummaryCache:
     of the run.  The cache treats payloads as opaque.
     """
 
-    def __init__(self, max_entries: int = 128, store_path: Optional[str] = None):
+    def __init__(self, max_entries: int = 128):
         self.max_entries = max_entries
-        self.store_path = store_path
         self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self.disk_loads = 0
-        self.disk_errors = 0
-        if store_path is not None and os.path.exists(store_path):
-            self._load(store_path)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -112,48 +101,4 @@ class SummaryCache:
             "hit_rate": round(self.hit_rate(), 4),
             "stores": self.stores,
             "evictions": self.evictions,
-            "disk_loads": self.disk_loads,
-            "disk_errors": self.disk_errors,
         }
-
-    # -- persistence ------------------------------------------------------------
-
-    def save(self, path: Optional[str] = None) -> int:
-        """Write all entries to the JSON store; returns the entry count."""
-        path = path or self.store_path
-        if path is None:
-            raise ValueError("no store path configured")
-        entries: List[Dict[str, Any]] = []
-        for key, payload in self._entries.items():
-            try:
-                encoded = encode_payload(payload)
-            except Exception:
-                self.disk_errors += 1
-                continue
-            entries.append({"key": list(key), "payload": encoded})
-        doc = {"version": STORE_VERSION, "entries": entries}
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-        return len(entries)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if doc.get("version") != STORE_VERSION:
-                return
-            for entry in doc.get("entries", []):
-                key = _freeze(entry["key"])
-                self._entries[key] = decode_payload(entry["payload"])
-                self.disk_loads += 1
-        except Exception:
-            self.disk_errors += 1
-
-
-def _freeze(obj: Any) -> Any:
-    """JSON round-trips tuples as lists; restore hashability."""
-    if isinstance(obj, list):
-        return tuple(_freeze(item) for item in obj)
-    return obj

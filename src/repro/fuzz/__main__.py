@@ -15,11 +15,20 @@ Two phases:
 ``--time-budget S`` stops fresh fuzzing after ~S seconds (used by the CI
 slow lane); the seed corpus is always replayed in full.
 
-``--check-safety`` swaps the gamma-soundness oracle for the checker
-cross-validation harness (:mod:`repro.checker.crosscheck`): every
-generated program is run through Tier-B ``check_safety`` and the
-concrete interpreter, and any concrete null-deref/leak/cycle landing on
-a *safe* verdict is a failure.  Same corpus/shrink/pool machinery.
+The judge is one of four lanes, all :class:`~repro.fuzz.oracle.DifferentialOracle`
+subclasses over the one :class:`~repro.fuzz.oracle.OracleConfig`, so
+they share the generator, the corpus/shrink/pool machinery and the
+concrete-run loop:
+
+- default: gamma-soundness and lattice laws (:mod:`repro.fuzz.oracle`);
+- ``--check-safety``: a concrete null-deref/leak/cycle landing on a
+  *safe* Tier-B verdict is a failure (:mod:`repro.checker.crosscheck`);
+- ``--check-termination``: a concrete run breaking a *terminating*
+  certificate is a failure (:mod:`repro.termination.crosscheck`);
+- ``--check-kernels``: summary hashes under the fast and reference
+  kernels must be identical (:mod:`repro.fuzz.kernelcheck`).
+
+The three flags are exclusive (exit status 2 when combined).
 """
 
 from __future__ import annotations
@@ -32,9 +41,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.fuzz.oracle import Finding, Oracle, OracleConfig
+from repro.checker.crosscheck import CrossChecker
+from repro.fuzz.kernelcheck import KernelChecker
+from repro.fuzz.oracle import DifferentialOracle, Finding, Oracle, OracleConfig
 from repro.fuzz.progen import GenConfig, generate_program
 from repro.fuzz.shrink import shrink_finding
+from repro.termination.crosscheck import TerminationCrossChecker
 
 
 @dataclass
@@ -117,7 +129,7 @@ def save_corpus_entry(directory: Path, finding: Finding) -> Path:
         tmp.unlink()
 
 
-def replay_corpus(directory: Path, oracle: Oracle) -> Tuple[int, int]:
+def replay_corpus(directory: Path, oracle: DifferentialOracle) -> Tuple[int, int]:
     """Re-check every corpus entry; returns (entries, failures)."""
     entries = sorted(directory.glob("*.lisl"))
     failures = 0
@@ -137,7 +149,7 @@ def replay_corpus(directory: Path, oracle: Oracle) -> Tuple[int, int]:
 def fuzz(
     seed: int,
     iters: int,
-    oracle: Oracle,
+    oracle: DifferentialOracle,
     gen_config: GenConfig,
     corpus_dir: Optional[Path],
     time_budget: Optional[float],
@@ -187,46 +199,15 @@ def fuzz(
     return failures
 
 
-def _make_checker(
-    oracle_config: OracleConfig,
-    check_safety: bool,
-    check_termination: bool = False,
-    check_kernels: bool = False,
-):
-    """The differential judge: the gamma-soundness oracle, or — under
-    ``--check-safety`` / ``--check-termination`` / ``--check-kernels`` —
-    a cross-validation harness.  All four share the
-    ``check_program``/``check_source``/``check_views``/``skips``
-    interface, so the fuzz loop, shrinker, and corpus replay are agnostic.
-    """
-    if check_kernels:
-        from repro.fuzz.kernelcheck import KernelCheckConfig, KernelChecker
-
-        return KernelChecker(
-            KernelCheckConfig(
-                domains=tuple(oracle_config.domains),
-                engine_max_steps=oracle_config.engine_max_steps,
-                engine_max_seconds=oracle_config.engine_max_seconds,
-            )
-        )
-    if not (check_safety or check_termination):
-        return Oracle(oracle_config)
-    from repro.checker.crosscheck import CrossCheckConfig
-
-    config = CrossCheckConfig(
-        rounds=oracle_config.rounds,
-        max_interp_steps=oracle_config.max_interp_steps,
-        domain="au" if check_termination else oracle_config.domains[0],
-        engine_max_steps=oracle_config.engine_max_steps,
-        engine_max_seconds=oracle_config.engine_max_seconds,
-    )
-    if check_termination:
-        from repro.termination.crosscheck import TerminationCrossChecker
-
-        return TerminationCrossChecker(config)
-    from repro.checker.crosscheck import CrossChecker
-
-    return CrossChecker(config)
+#: The differential judge per lane (``--check-<lane>``; ``gamma`` when no
+#: flag is given).  The fuzz loop, shrinker and corpus replay only call
+#: the :class:`DifferentialOracle` interface, so they are lane-agnostic.
+LANES = {
+    "gamma": Oracle,
+    "safety": CrossChecker,
+    "termination": TerminationCrossChecker,
+    "kernels": KernelChecker,
+}
 
 
 def _fuzz_chunk(
@@ -238,9 +219,7 @@ def _fuzz_chunk(
     corpus_dir: Optional[Path],
     time_budget: Optional[float],
     shrink_checks: int,
-    check_safety: bool = False,
-    check_termination: bool = False,
-    check_kernels: bool = False,
+    lane: str = "gamma",
 ) -> dict:
     """Pool worker: fuzz one contiguous iteration range.
 
@@ -249,9 +228,7 @@ def _fuzz_chunk(
     parent to aggregate.  Signature dedup is per-chunk; duplicate
     signatures across chunks are deduplicated by the parent.
     """
-    oracle = _make_checker(
-        oracle_config, check_safety, check_termination, check_kernels
-    )
+    oracle = LANES[lane](oracle_config)
     failures = fuzz(
         seed=seed,
         iters=count,
@@ -275,9 +252,7 @@ def fuzz_parallel(
     corpus_dir: Optional[Path],
     time_budget: Optional[float],
     shrink_checks: int,
-    check_safety: bool = False,
-    check_termination: bool = False,
-    check_kernels: bool = False,
+    lane: str = "gamma",
 ) -> Tuple[List[Finding], dict]:
     """Fan iteration ranges out over the worker pool.
 
@@ -307,9 +282,7 @@ def fuzz_parallel(
                     corpus_dir,
                     time_budget,
                     shrink_checks,
-                    check_safety,
-                    check_termination,
-                    check_kernels,
+                    lane,
                 ),
             )
         )
@@ -417,14 +390,19 @@ def main(argv: Optional[List[str]] = None) -> int:
               "--check-kernels are exclusive", file=sys.stderr)
         return 2
 
+    lane = (
+        "safety" if args.check_safety
+        else "termination" if args.check_termination
+        else "kernels" if args.check_kernels
+        else "gamma"
+    )
     oracle_config = OracleConfig(
         rounds=args.rounds,
         domains=("am",)
-        if (args.skip_au or args.check_safety or args.check_termination)
+        if (args.skip_au or lane in ("safety", "termination"))
         else ("am", "au"),
     )
-    oracle = _make_checker(oracle_config, args.check_safety,
-                           args.check_termination, args.check_kernels)
+    oracle = LANES[lane](oracle_config)
     gen_config = GenConfig(n_procs=args.max_procs, dll=args.dll)
 
     corpus_failures = 0
@@ -443,9 +421,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             corpus_dir=args.corpus,
             time_budget=args.time_budget,
             shrink_checks=args.shrink_checks,
-            check_safety=args.check_safety,
-            check_termination=args.check_termination,
-            check_kernels=args.check_kernels,
+            lane=lane,
         )
         skips = {
             key: skips.get(key, 0) + fuzz_skips.get(key, 0)

@@ -14,78 +14,40 @@ Wired into the fuzz CLI as ``python -m repro.fuzz --check-kernels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro import kernels
 from repro.core.api import Analyzer
 from repro.core.localheap import CutpointError
-from repro.fuzz.oracle import Finding
-from repro.lang import ast as A
-from repro.lang.normalize import normalize_program
-from repro.lang.parser import parse_program
+from repro.fuzz.oracle import DifferentialOracle, Finding
 from repro.lang.pretty import pretty_program
-from repro.lang.typecheck import typecheck_program
 
 
-@dataclass
-class KernelCheckConfig:
-    domains: Tuple[str, ...] = ("am", "au")
-    engine_max_steps: Optional[int] = 60_000
-    engine_max_seconds: Optional[float] = 30.0
-
-
-class KernelChecker:
+class KernelChecker(DifferentialOracle):
     """Fast-vs-reference identity harness (the ``--check-kernels`` oracle).
 
-    Implements the fuzz-loop checker duck type
-    (``check_program``/``check_source``/``check_views``/``skips``).
     Concrete input views are irrelevant to kernel identity and are
     accepted but unused, so corpus replay and the shrinker keep working.
     """
 
-    def __init__(self, config: Optional[KernelCheckConfig] = None):
-        self.config = config or KernelCheckConfig()
-        # budget -> analysis hit its step/second budget in some mode;
-        # cutpoint -> program outside the supported fragment.  Identity
-        # is only judged on rows both modes completed.
-        self.skips: Dict[str, int] = {"budget": 0, "cutpoint": 0}
+    # budget -> analysis hit its step/second budget in some mode;
+    # cutpoint -> program outside the supported fragment.  Identity
+    # is only judged on rows both modes completed.
+    skip_keys = ("budget", "cutpoint")
 
-    # -- entry points -----------------------------------------------------------
-
-    def check_program(
-        self, program: A.Program, root: str, seed: int
-    ) -> List[Finding]:
-        return self.check_views(program, root, views_list=(), seed=seed)
-
-    def check_source(
-        self,
-        source: str,
-        root: str,
-        views_list: Sequence[List],
-        seed: Optional[int] = None,
-    ) -> List[Finding]:
-        program = typecheck_program(parse_program(source))
-        return self.check_views(program, root, views_list, seed=seed)
-
-    def check_views(
-        self,
-        program: A.Program,
-        root: str,
-        views_list: Sequence[List],
-        seed: Optional[int] = None,
-    ) -> List[Finding]:
+    def judge(self, program, analyzer, root, views_list, seed):
         source = pretty_program(program)
         findings: List[Finding] = []
         for domain in self.config.domains:
-            hashes: Dict[str, object] = {}
+            hashes: Dict[str, List] = {}
             for mode in ("reference", "fast"):
-                outcome = self._summary_hashes(program, root, domain, mode)
-                if isinstance(outcome, str):  # skip / crash note
-                    if outcome in self.skips:
-                        self.skips[outcome] += 1
-                        hashes = {}
-                        break
+                outcome = self._summary_hashes(analyzer.program, root, domain, mode)
+                if not isinstance(outcome, str):
+                    hashes[mode] = outcome
+                    continue
+                if outcome in self.skips:
+                    self.skips[outcome] += 1
+                else:  # a crash note
                     findings.append(
                         Finding(
                             kind="kernel-crash",
@@ -96,10 +58,8 @@ class KernelChecker:
                             seed=seed,
                         )
                     )
-                    hashes = {}
-                    break
-                hashes[mode] = outcome
-            if hashes and hashes["reference"] != hashes["fast"]:
+                break
+            if len(hashes) == 2 and hashes["reference"] != hashes["fast"]:
                 findings.append(
                     Finding(
                         kind="kernel-mismatch",
@@ -119,13 +79,11 @@ class KernelChecker:
     # -- internals --------------------------------------------------------------
 
     def _summary_hashes(self, program, root, domain, mode):
-        """Summary hash list for one (domain, mode), or a note string."""
+        """Summary hash list of the normalized ``program`` for one
+        (domain, mode), or a note string."""
         with kernels.mode_ctx(mode):
             try:
-                analyzer = Analyzer(
-                    normalize_program(typecheck_program(program))
-                )
-                result = analyzer.analyze(
+                result = Analyzer(program).analyze(
                     root,
                     domain=domain,
                     max_steps=self.config.engine_max_steps,

@@ -23,13 +23,19 @@ budget), infeasible paths, cyclic outputs (no word view), programs the
 analysis rejects (``CutpointError``: outside the supported fragment), and
 analyses that hit the engine budget (partial summaries carry no soundness
 promise).
+
+:class:`DifferentialOracle` is the interface every fuzz lane implements
+(this γ-soundness oracle, the safety, termination and kernel-identity
+cross-checks): one config, one input generator, the entry points the
+fuzz loop, shrinker and corpus replay call, and one concrete-run loop.
+A lane adds only its judgement, :meth:`DifferentialOracle.judge`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.concrete.heap import dll_violations, from_cells, to_cells, to_dll_cells
 from repro.concrete.interp import (
@@ -53,7 +59,12 @@ from repro.shape.graph import NULL
 
 @dataclass
 class OracleConfig:
-    """Knobs for one oracle run."""
+    """Knobs for one run of any lane (the one config of the fuzz loop).
+
+    The safety cross-check judges the verdicts of ``domains[0]``; the
+    termination cross-check ignores ``domains`` (its prover runs in AU);
+    the lattice and γ fields are read by the γ-soundness oracle only.
+    """
 
     rounds: int = 5  # concrete executions per program
     max_interp_steps: int = 200_000
@@ -76,8 +87,14 @@ class OracleConfig:
 class Finding:
     """One oracle failure, self-contained for replay and shrinking."""
 
-    kind: str  # "gamma" | "no_shape" | "dll" | "lattice" | "crash"
-    domain: str  # "am" | "au"
+    # γ lane: "gamma" | "no_shape" | "dll" | "lattice"; safety and
+    # termination lanes: "checker"; kernel lane: "kernel-crash" |
+    # "kernel-mismatch"; any lane: "crash"
+    kind: str
+    # "am" | "au" for most findings; "termination" for the termination
+    # lane; "<domain>/<kernel mode>" for a kernel-crash; the lane's
+    # ``crash_domain`` for a frontend crash
+    domain: str
     root: str
     message: str
     source: str  # pretty-printed program text
@@ -106,12 +123,28 @@ class _Observation:
     out_dll: Dict[str, bool] = field(default_factory=dict)
 
 
-class Oracle:
+# What ends one concrete run early: a fault or the step budget, an
+# infeasible path, a failed assert, or runaway recursion.  What it means
+# (a deref event, a skipped run, no observation) is each lane's call.
+RUN_ERRORS = (ConcreteError, AssumeFailure, AssertFailure, RecursionError)
+
+
+class DifferentialOracle:
+    """One differential lane of the fuzz loop.
+
+    The fuzz loop, the shrinker and corpus replay call only
+    :meth:`check_program`, :meth:`check_source`, :meth:`check_views` and
+    :attr:`skips`.  A lane sets ``crash_domain`` (the ``Finding.domain``
+    of a frontend crash) and ``skip_keys``, and implements :meth:`judge`.
+    """
+
+    crash_domain = "frontend"
+    skip_keys: Tuple[str, ...] = ()
+
     def __init__(self, config: Optional[OracleConfig] = None):
         self.config = config or OracleConfig()
-        # skip accounting, so capped/skipped work is never silent:
-        # cutpoint -> domain outside fragment, budget -> γ-check skipped
-        self.skips: Dict[str, int] = {"cutpoint": 0, "budget": 0}
+        # skip accounting, so capped/skipped work is never silent
+        self.skips: Dict[str, int] = {key: 0 for key in self.skip_keys}
 
     # -- input generation ------------------------------------------------------
 
@@ -137,14 +170,13 @@ class Oracle:
     ) -> List[Finding]:
         """Fuzz one program: random inputs derived from ``seed``."""
         try:
-            norm = normalize_program(typecheck_program(program))
-            analyzer = Analyzer(norm)
+            analyzer = Analyzer(normalize_program(typecheck_program(program)))
             cfg = analyzer.icfg.cfg(root)
         except Exception as exc:  # generator guarantees this never happens
             return [
                 Finding(
                     kind="crash",
-                    domain="frontend",
+                    domain=self.crash_domain,
                     root=root,
                     message=f"{type(exc).__name__}: {exc}",
                     source=pretty_program(program),
@@ -155,7 +187,7 @@ class Oracle:
         views_list = [
             self.random_input_views(rng, cfg) for _ in range(self.config.rounds)
         ]
-        return self.check_views(program, root, views_list, seed=seed)
+        return self.judge(program, analyzer, root, views_list, seed)
 
     def check_source(
         self,
@@ -176,21 +208,80 @@ class Oracle:
         seed: Optional[int] = None,
     ) -> List[Finding]:
         """Deterministic check of one program on explicit input views."""
-        norm = normalize_program(typecheck_program(program))
-        source = pretty_program(program)
-        analyzer = Analyzer(norm)
-        cfg = analyzer.icfg.cfg(root)
-        interp = Interpreter(analyzer.icfg, max_steps=self.config.max_interp_steps)
+        analyzer = Analyzer(normalize_program(typecheck_program(program)))
+        return self.judge(program, analyzer, root, views_list, seed)
 
-        # prev-using programs get well-formed DLL inputs -- matching the
-        # abstract generic entry, which assumes arguments are DLLs -- and
-        # their outputs are audited against the concrete back-pointer
-        # invariant (the --dll soundness oracle).
-        dll = uses_prev(norm)
+    def judge(
+        self,
+        program: A.Program,
+        analyzer: Analyzer,
+        root: str,
+        views_list: Sequence[List],
+        seed: Optional[int],
+    ) -> List[Finding]:
+        """The lane's verdict on ``program`` (``analyzer`` holds its
+        normalized form) run on ``views_list``."""
+        raise NotImplementedError
+
+    # -- concrete side -----------------------------------------------------------
+
+    def concrete_runs(
+        self,
+        icfg,
+        root: str,
+        views_list: Sequence[List],
+        dll: bool,
+        frame_observer=None,
+        edge_observer=None,
+    ) -> Iterator[Tuple[List, Optional[List], Optional[Exception]]]:
+        """Run ``root`` once per input view set.
+
+        Yields ``(views, outputs, error)``, where ``error`` is the
+        :data:`RUN_ERRORS` exception that ended the run early (and
+        ``outputs`` is then ``None``).  Prev-using programs (``dll``) get
+        well-formed DLL inputs, matching the abstract generic entry, which
+        assumes arguments are DLLs.  View sets whose arity does not match
+        the root's inputs are dropped.  The observers are the
+        interpreter's frame and edge hooks.
+        """
+        interp = Interpreter(icfg, max_steps=self.config.max_interp_steps)
+        interp.frame_observer = frame_observer
+        interp.edge_observer = edge_observer
+        arity = len(icfg.cfg(root).inputs)
+        build = to_dll_cells if dll else to_cells
+        for views in views_list:
+            if len(views) != arity:
+                continue
+            args = [build(list(v)) if isinstance(v, list) else v for v in views]
+            try:
+                outputs = interp.run(root, args)
+            except RUN_ERRORS as exc:
+                yield views, None, exc
+            else:
+                yield views, outputs, None
+
+
+class Oracle(DifferentialOracle):
+    """The γ-soundness and lattice-law lane (the default fuzz lane)."""
+
+    # cutpoint -> domain outside fragment, budget -> γ-check skipped
+    skip_keys = ("cutpoint", "budget")
+
+    def judge(self, program, analyzer, root, views_list, seed):
+        source = pretty_program(program)
+        cfg = analyzer.icfg.cfg(root)
+        # prev-using programs get DLL inputs, and their outputs are audited
+        # against the concrete back-pointer invariant (the --dll soundness
+        # oracle).
+        dll = uses_prev(analyzer.program)
         observations = [
             obs
-            for views in views_list
-            if (obs := self._observe(interp, cfg, root, views, dll=dll)) is not None
+            for views, outputs, error in self.concrete_runs(
+                analyzer.icfg, root, views_list, dll
+            )
+            # a run that ended early is out of scope; not a finding
+            if error is None
+            and (obs := self._observe(cfg, views, outputs, dll)) is not None
         ]
 
         findings: List[Finding] = []
@@ -205,16 +296,9 @@ class Oracle:
     # -- concrete side -----------------------------------------------------------
 
     def _observe(
-        self, interp, cfg, root: str, views: List, dll: bool = False
+        self, cfg, views: List, outputs: List, dll: bool
     ) -> Optional[_Observation]:
-        build = to_dll_cells if dll else to_cells
-        args = [
-            build(list(v)) if isinstance(v, list) else v for v in views
-        ]
-        try:
-            outputs = interp.run(root, args)
-        except (ConcreteError, AssumeFailure, AssertFailure, RecursionError):
-            return None  # the run itself is out of scope; not a finding
+        """The word/data view of one completed run, or ``None``."""
         in_words: Dict[str, List[int]] = {}
         in_data: Dict[str, int] = {}
         for p, view in zip(cfg.inputs, views):
@@ -334,55 +418,42 @@ class Oracle:
                     violated.append(heap.describe(result.domain))
         if covered:
             return []
+
+        def finding(kind: str, message: str) -> List[Finding]:
+            return [
+                Finding(
+                    kind=kind,
+                    domain=domain,
+                    root=root,
+                    message=message,
+                    source=source,
+                    inputs=obs.views,
+                    seed=seed,
+                )
+            ]
+
         if dll_mismatch:
             # Some disjunct covers the words but its DLL attributes make a
             # definite claim the concrete back pointers refute.
-            return [
-                Finding(
-                    kind="dll",
-                    domain=domain,
-                    root=root,
-                    message=(
-                        f"covering disjuncts contradict the concrete back-"
-                        f"pointer invariant on {obs.views} -> {obs.out_words}: "
-                        + "; ".join(dll_mismatch[:3])
-                    ),
-                    source=source,
-                    inputs=obs.views,
-                    seed=seed,
-                )
-            ]
+            return finding(
+                "dll",
+                f"covering disjuncts contradict the concrete back-pointer "
+                f"invariant on {obs.views} -> {obs.out_words}: "
+                + "; ".join(dll_mismatch[:3]),
+            )
         if shape_matched:
             details = "; ".join(violated[:3])
-            return [
-                Finding(
-                    kind="gamma",
-                    domain=domain,
-                    root=root,
-                    message=(
-                        f"no summary disjunct covers the run {obs.views} -> "
-                        f"{obs.out_words} {obs.out_data}; matching-but-"
-                        f"violated: {details}"
-                    ),
-                    source=source,
-                    inputs=obs.views,
-                    seed=seed,
-                )
-            ]
-        return [
-            Finding(
-                kind="no_shape",
-                domain=domain,
-                root=root,
-                message=(
-                    f"no summary backbone matches the run "
-                    f"{obs.views} -> {obs.out_words} {obs.out_data}"
-                ),
-                source=source,
-                inputs=obs.views,
-                seed=seed,
+            return finding(
+                "gamma",
+                f"no summary disjunct covers the run {obs.views} -> "
+                f"{obs.out_words} {obs.out_data}; matching-but-violated: "
+                f"{details}",
             )
-        ]
+        return finding(
+            "no_shape",
+            f"no summary backbone matches the run "
+            f"{obs.views} -> {obs.out_words} {obs.out_data}",
+        )
 
     def _dll_mismatch(self, result, heap, obs: _Observation) -> Optional[str]:
         """Definite DLL claims of a covering disjunct vs. concrete truth.

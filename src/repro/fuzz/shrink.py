@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.fuzz.oracle import Finding, Oracle
+from repro.fuzz.oracle import DifferentialOracle, Finding, Oracle
 from repro.lang import ast as A
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
@@ -85,7 +85,7 @@ def _remove_paths(
 class Shrinker:
     def __init__(
         self,
-        oracle: Oracle,
+        oracle: DifferentialOracle,
         root: str,
         signature: Tuple[str, str],
         max_checks: int = 200,
@@ -260,7 +260,9 @@ def _with_view(views_list: List[List], vi: int, ai: int, new_view) -> List[List]
 
 
 def shrink_finding(
-    finding: Finding, oracle: Optional[Oracle] = None, max_checks: int = 200
+    finding: Finding,
+    oracle: Optional[DifferentialOracle] = None,
+    max_checks: int = 200,
 ) -> Finding:
     """Minimize a finding; returns a new, smaller, still-failing Finding.
 

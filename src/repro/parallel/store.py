@@ -1,10 +1,9 @@
 """Cross-run persistent summary store, shareable between worker processes.
 
-:class:`~repro.engine.cache.SummaryCache` keeps one JSON file for a whole
-cache and rewrites it wholesale on ``save()`` — fine for a single
-process, unusable for a worker pool where many processes publish results
-concurrently.  This store keeps **one file per cache key** under a
-directory, so:
+:class:`~repro.engine.cache.SummaryCache` lives in one process's memory;
+this store is the on-disk summary format, shared by a worker pool where
+many processes publish results concurrently.  It keeps **one file per
+cache key** under a directory, so:
 
 - writes are atomic and race-free: an entry is written to a unique
   temporary file in the same directory and ``os.replace``-d into place

@@ -24,25 +24,15 @@ attached to *terminating* sites.  Wired into the fuzz CLI as
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.concrete.heap import Cell, to_cells
-from repro.concrete.interp import (
-    AssertFailure,
-    AssumeFailure,
-    ConcreteError,
-    Interpreter,
-)
+from repro.concrete.heap import Cell
 from repro.core.api import Analyzer
-from repro.fuzz.oracle import Finding
+from repro.fuzz.oracle import DifferentialOracle, Finding
 from repro.lang import ast as A
+from repro.lang.ast import uses_prev
 from repro.lang.cfg import OpCall
-from repro.lang.normalize import normalize_program
-from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
-from repro.lang.typecheck import typecheck_program
-from repro.checker.crosscheck import CrossCheckConfig
 from repro.termination.candidates import RankCandidate
 from repro.termination.driver import TerminationOptions, check_termination
 from repro.termination.recursion import SlotCandidate
@@ -54,8 +44,10 @@ from repro.termination.report import Certificate, TerminationReport
 _STATE_KEY = "$term$state"
 
 
-def _list_len(value) -> Optional[int]:
-    """Concrete backbone length; None on a cycle (measure undefined)."""
+def _chain_len(value, link: str) -> Optional[int]:
+    """Concrete number of cells from ``value`` along ``link`` (``next``:
+    the backbone length; ``prev``: the distance from the head); None on a
+    cycle (measure undefined)."""
     n = 0
     seen: Set[int] = set()
     cur = value
@@ -64,21 +56,7 @@ def _list_len(value) -> Optional[int]:
             return None
         seen.add(id(cur))
         n += 1
-        cur = cur.next
-    return n
-
-
-def _prev_len(value) -> Optional[int]:
-    """Concrete distance from the head along ``prev``; None on a cycle."""
-    n = 0
-    seen: Set[int] = set()
-    cur = value
-    while isinstance(cur, Cell):
-        if id(cur) in seen:
-            return None
-        seen.add(id(cur))
-        n += 1
-        cur = cur.prev
+        cur = getattr(cur, link)
     return n
 
 
@@ -128,7 +106,7 @@ def concrete_measure(candidate, names: Sequence[str], env) -> Optional[int]:
                 return None
             total += value
         else:
-            part = _prev_len(value) if reverse else _list_len(value)
+            part = _chain_len(value, "prev" if reverse else "next")
             if part is None:
                 return None
             total += part
@@ -232,70 +210,17 @@ class _TerminationObserver:
             )
 
 
-class TerminationCrossChecker:
-    """Concrete-vs-prover differential harness (``--check-termination``)."""
+class TerminationCrossChecker(DifferentialOracle):
+    """Concrete-vs-prover differential harness (``--check-termination``).
 
-    def __init__(self, config: Optional[CrossCheckConfig] = None):
-        self.config = config or CrossCheckConfig(domain="au")
-        self.skips: Dict[str, int] = {"run": 0}
+    The prover runs in AU whatever ``config.domains`` says.
+    """
 
-    def random_input_views(self, rng: random.Random, cfg) -> List:
-        views: List = []
-        for p in cfg.inputs:
-            if p.type == A.INT:
-                views.append(rng.randint(self.config.data_lo, self.config.data_hi))
-            else:
-                views.append(
-                    [
-                        rng.randint(self.config.data_lo, self.config.data_hi)
-                        for _ in range(rng.randint(0, self.config.max_list_len))
-                    ]
-                )
-        return views
+    crash_domain = "termination"
+    # run -> concrete execution ended early (fault, budget, infeasible)
+    skip_keys = ("run",)
 
-    # -- entry points (duck-typed to the fuzz oracle interface) -------------
-
-    def check_program(self, program: A.Program, root: str, seed: int) -> List[Finding]:
-        try:
-            norm = normalize_program(typecheck_program(program))
-            analyzer = Analyzer(norm)
-            cfg = analyzer.icfg.cfg(root)
-        except Exception as exc:  # generator guarantees this never happens
-            return [
-                Finding(
-                    kind="crash",
-                    domain="termination",
-                    root=root,
-                    message=f"{type(exc).__name__}: {exc}",
-                    source=pretty_program(program),
-                    seed=seed,
-                )
-            ]
-        rng = random.Random(seed)
-        views_list = [
-            self.random_input_views(rng, cfg) for _ in range(self.config.rounds)
-        ]
-        return self.check_views(program, root, views_list, seed=seed)
-
-    def check_source(
-        self,
-        source: str,
-        root: str,
-        views_list: Sequence[List],
-        seed: Optional[int] = None,
-    ) -> List[Finding]:
-        program = typecheck_program(parse_program(source))
-        return self.check_views(program, root, views_list, seed=seed)
-
-    def check_views(
-        self,
-        program: A.Program,
-        root: str,
-        views_list: Sequence[List],
-        seed: Optional[int] = None,
-    ) -> List[Finding]:
-        norm = normalize_program(typecheck_program(program))
-        analyzer = Analyzer(norm)
+    def judge(self, program, analyzer, root, views_list, seed):
         source = pretty_program(program)
         report = check_termination(
             analyzer,
@@ -320,20 +245,16 @@ class TerminationCrossChecker:
         certs_by_proc: Dict[str, List[Certificate]],
     ) -> List[Tuple[str, Optional[int], str]]:
         violations: List[Tuple[str, Optional[int], str]] = []
-        interp = Interpreter(analyzer.icfg, max_steps=self.config.max_interp_steps)
-        interp.edge_observer = _TerminationObserver(certs_by_proc, violations)
-        cfg = analyzer.icfg.cfg(root)
-        for views in views_list:
-            args = [to_cells(list(v)) if isinstance(v, list) else v for v in views]
-            if len(args) != len(cfg.inputs):
-                continue
-            try:
-                interp.run(root, args)
-            except ConcreteError:
+        for _views, _outputs, error in self.concrete_runs(
+            analyzer.icfg,
+            root,
+            views_list,
+            uses_prev(analyzer.program),
+            edge_observer=_TerminationObserver(certs_by_proc, violations),
+        ):
+            if error is not None:
                 # Faults and budget exhaustion end the run, but every
                 # violation observed up to that point stands.
-                self.skips["run"] += 1
-            except (AssumeFailure, AssertFailure, RecursionError):
                 self.skips["run"] += 1
         return violations
 
@@ -347,25 +268,21 @@ class TerminationCrossChecker:
         source: str,
         seed: Optional[int],
     ) -> List[Finding]:
-        findings: List[Finding] = []
-        seen: Set[str] = set()
+        texts: List[str] = []
         for proc, line, message in violations:
             where = f"{proc}:{line}" if line else proc
-            text = (
+            texts.append(
                 f"concrete run contradicts a terminating verdict at {where}: "
                 f"{message}"
             )
-            if text in seen:
-                continue
-            seen.add(text)
-            findings.append(
-                Finding(
-                    kind="checker",
-                    domain="termination",
-                    root=root,
-                    message=text,
-                    source=source,
-                    seed=seed,
-                )
+        return [
+            Finding(
+                kind="checker",
+                domain="termination",
+                root=root,
+                message=text,
+                source=source,
+                seed=seed,
             )
-        return findings
+            for text in dict.fromkeys(texts)  # distinct, first-seen order
+        ]

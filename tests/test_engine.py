@@ -309,31 +309,6 @@ class TestSummaryCache:
         assert cache.get(("b",)) is None
         assert cache.stats()["evictions"] == 1
 
-    def test_disk_store_roundtrip(self, tmp_path):
-        store = str(tmp_path / "summaries.json")
-        cache = SummaryCache(store_path=store)
-        analyzer = Analyzer.from_source(
-            "proc id(x: list) returns (r: list) { r = x; }", cache=cache
-        )
-        baseline = analyzer.analyze("id", domain="am")
-        assert cache.save() == 1
-
-        cache2 = SummaryCache(store_path=store)
-        assert cache2.disk_loads == 1
-        analyzer2 = Analyzer.from_source(
-            "proc id(x: list) returns (r: list) { r = x; }", cache=cache2
-        )
-        res = analyzer2.analyze("id", domain="am")
-        assert res.stats["from_cache"]
-        assert _fingerprint(res) == _fingerprint(baseline)
-
-    def test_corrupt_store_ignored(self, tmp_path):
-        store = tmp_path / "bad.json"
-        store.write_text("{not json")
-        cache = SummaryCache(store_path=str(store))
-        assert len(cache) == 0
-        assert cache.disk_errors == 1
-
 
 # ---------------------------------------------------------------------------
 # telemetry

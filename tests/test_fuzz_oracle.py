@@ -3,12 +3,15 @@ deliberately injected soundness bugs (guards against a vacuously-passing
 fuzzer)."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from repro.datawords import terms as T
 from repro.datawords.multiset import MultisetDomain, MultisetValue
+from repro.fuzz.__main__ import LANES
+from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.oracle import Oracle, OracleConfig
 from repro.fuzz.progen import GenConfig, generate_program
 from repro.lang.benchlib import benchmark_program
@@ -107,3 +110,31 @@ def test_mutant_broken_widen_caught_by_lattice_oracle(monkeypatch):
         f"broken-widen mutant survived {MUTANT_ITERATION_BOUND} "
         f"fuzzing iterations -- the lattice oracle is vacuous"
     )
+
+
+LANE_FLAGS = {
+    "gamma": [],
+    "safety": ["--check-safety"],
+    "termination": ["--check-termination"],
+    "kernels": ["--check-kernels"],
+}
+
+
+@pytest.mark.parametrize(
+    "lane,jobs",
+    [pytest.param(lane, 1, id=lane) for lane in LANE_FLAGS]
+    + [pytest.param("termination", 2, id="termination-jobs2")],
+)
+def test_fuzz_cli_lane(lane, jobs, capsys):
+    """Every lane runs clean through the CLI and reports its own skips."""
+    code = fuzz_main(
+        LANE_FLAGS[lane]
+        + ["--skip-au", "--iters", "3", "--seed", "3", "--rounds", "2",
+           "--jobs", str(jobs)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    done = [line for line in out.splitlines() if line.startswith("fuzzing done")]
+    assert done[-1].startswith("fuzzing done: 0 failure(s), 0 corpus regression(s)")
+    for key in LANES[lane].skip_keys:
+        assert re.search(rf"\b\d+ {key}\b", done[-1]), (key, done[-1])

@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.checker.__main__ import main as lint_main
-from repro.checker.crosscheck import CrossCheckConfig
 from repro.checker.driver import CheckOptions, check_source
 from repro.checker.findings import (
     POSSIBLY_NONTERMINATING,
@@ -33,6 +32,7 @@ from repro.checker.findings import (
 )
 from repro.core.api import Analyzer
 from repro.fuzz.__main__ import main as fuzz_main
+from repro.fuzz.oracle import OracleConfig
 from repro.lang.benchlib import TABLE1, benchmark_program
 from repro.termination import (
     TerminationOptions,
@@ -232,7 +232,7 @@ class TestCrossCheck:
         monkeypatch.setattr(decrease, "_entails", lambda *args: True)
         source = (NONTERMINATING_DIR / "stuck_walk.lisl").read_text()
         checker = TerminationCrossChecker(
-            CrossCheckConfig(domain="au", max_interp_steps=2000)
+            OracleConfig(domains=("au",), max_interp_steps=2000)
         )
         findings = checker.check_source(source, "stuck", [[[7, 8, 9]]])
         assert findings
@@ -247,13 +247,35 @@ class TestCrossCheck:
         findings = checker.check_source(path.read_text(), root, views_list)
         assert findings == []
 
-    def test_fuzz_cli_lane(self, capsys):
-        code = fuzz_main(
-            ["--check-termination", "--iters", "4", "--seed", "3",
-             "--rounds", "2"]
+    def test_dll_program_runs_on_dll_inputs(self, monkeypatch):
+        # The prover assumes a prev-using program's arguments are DLLs, so
+        # the lane must run it on back-linked inputs.  Then the backward
+        # walk of dll_traverse_back visits all four cells of [1, 2, 3, 4]
+        # (four back-edge arrivals at its head); on a singly-linked input
+        # ``c->prev`` is NULL and it stops after one.
+        from repro.termination import crosscheck as TC
+
+        arrivals = []
+        observe = TC._TerminationObserver.__call__
+
+        def spy(self, cfg, edge, env):
+            arrivals.append((edge.src, edge.dst))
+            observe(self, cfg, edge, env)
+
+        monkeypatch.setattr(TC._TerminationObserver, "__call__", spy)
+        source = (CORPUS / "dll" / "safe" / "dll_traverse_back.lisl").read_text()
+        findings = TerminationCrossChecker().check_source(
+            source, "main", [[[1, 2, 3, 4]]]
         )
-        assert code == 0
-        assert "fuzzing done: 0 failure(s)" in capsys.readouterr().out
+        assert findings == []
+        loops = find_loops(Analyzer.from_source(source).icfg.cfg("main"))
+        backward = max(loops, key=lambda loop: loop.line)
+        back_arrivals = [
+            (src, dst)
+            for src, dst in arrivals
+            if dst == backward.head and src in backward.region
+        ]
+        assert len(back_arrivals) == 4
 
     def test_fuzz_cli_flags_are_exclusive(self, capsys):
         code = fuzz_main(["--check-safety", "--check-termination"])
