@@ -1,17 +1,31 @@
-"""Exact rational linear programming (primal simplex, Bland's rule).
+"""Linear programming for the polyhedra-lite domain.
 
-Used by the polyhedra-lite domain for feasibility and entailment checks.
-Problems are tiny (tens of variables and constraints) so an exact dense
-tableau with :class:`fractions.Fraction` entries is both simple and fast
-enough; Bland's anti-cycling rule guarantees termination.
+Feasibility, entailment and redundancy checks over
+:class:`~repro.numeric.linexpr` constraints with *free*
+(sign-unrestricted) variables, answered by three solvers:
 
-The public entry points work directly on :class:`~repro.numeric.linexpr`
-objects with *free* (sign-unrestricted) variables.
+- the reference: a two-phase primal simplex over a dense tableau of
+  :class:`fractions.Fraction` entries, with Bland's anti-cycling rule;
+- its fast-kernel twin over integer rows, memoized and warm-started
+  (the optimum is unique, so both give the same answers);
+- a float pre-pass through scipy's compiled HiGHS solver for boolean
+  queries on systems above ``_INT_DIRECT_MAX`` constraints (on every
+  system in reference-kernel mode).  It decides only clear-cut queries:
+  a value near zero, an inconclusive status or a coefficient beyond
+  float range falls back to the exact simplex.
+
+Only HiGHS's extension module is loaded, not the ``scipy.optimize``
+package around it, which takes most of a second to import and which
+the pre-pass does not use.  ``REPRO_EXACT_LP=1`` skips HiGHS: exact
+arithmetic everywhere.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -19,23 +33,52 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro import kernels
 from repro.numeric.linexpr import EQ, GE, Constraint, LinExpr
 
+try:  # the HiGHS bindings take numpy arrays
+    import numpy as _np
+except ImportError:  # pragma: no cover - exact arithmetic only
+    _np = None
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Fast float pre-pass (scipy HiGHS) for the boolean queries; decisions in
-# the ambiguous band fall back to the exact rational simplex.  Set
-# REPRO_EXACT_LP=1 to force exact arithmetic everywhere.
-_EXACT_ONLY = os.environ.get("REPRO_EXACT_LP") == "1"
-try:  # pragma: no cover - import guard
-    from scipy.optimize import linprog as _linprog
-except Exception:  # pragma: no cover
-    _linprog = None
-try:  # direct HiGHS bindings: ~10x less per-call overhead than linprog
-    import numpy as _np
-    from scipy.optimize._highspy import _core as _highs_core
-except Exception:  # pragma: no cover
-    _highs_core = None
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's HiGHS extension module, or None (exact arithmetic only).
+
+    Loaded from its file inside scipy's package without running
+    ``scipy.optimize``, and registered under its own name so that a
+    later ``import scipy.optimize`` reuses it.
+    """
+    if _np is None or os.environ.get("REPRO_EXACT_LP") == "1":
+        return None
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    try:
+        scipy_spec = importlib.util.find_spec("scipy")  # does not import it
+        roots = scipy_spec.submodule_search_locations if scipy_spec else None
+        for root in roots or ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+                if not os.path.isfile(path):
+                    continue
+                spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_HIGHS_MODULE] = module
+                spec.loader.exec_module(module)
+                return module
+    except (ImportError, OSError, ValueError):
+        sys.modules.pop(_HIGHS_MODULE, None)
+    try:  # a layout this loader does not know: import it the usual way
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+_highs_core = _load_highs_core()
 
 _CLEAR = 1e-6  # |margin| above this: trust the float verdict
 _TIGHT = 1e-9  # within this of zero: treat as exactly tight
@@ -727,98 +770,45 @@ def _phase2_int(rows, dens, basis, variables, art_cols, objective, maximize):
     return LPResult(OPTIMAL, value)
 
 
-def _float_lp(
-    constraints: Sequence[Constraint], objective: LinExpr, maximize: bool
-) -> Optional[Tuple[str, float]]:
-    """Solve with HiGHS; None when scipy is unavailable or the solve fails."""
-    if _EXACT_ONLY:
-        return None
-    if _highs_core is not None:
-        result = _float_lp_direct(constraints, objective, maximize)
-        if result is not None:
-            return result
-    if _linprog is None:
-        return None
-    variables = sorted(
-        set().union(set(), *[c.support() for c in constraints], objective.support())
-    )
-    index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for c in constraints:
-        row = [0.0] * n
-        for var, k in c.expr.coeffs.items():
-            row[index[var]] = float(k)
-        if c.rel == GE:  # coeffs.x + const >= 0  ->  -coeffs.x <= const
-            a_ub.append([-x for x in row])
-            b_ub.append(float(c.expr.const))
-        else:
-            a_eq.append(row)
-            b_eq.append(-float(c.expr.const))
-    cvec = [0.0] * n
-    sense = -1.0 if maximize else 1.0
-    for var, k in objective.coeffs.items():
-        cvec[index[var]] = sense * float(k)
-    try:
-        res = _linprog(
-            cvec,
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            A_eq=a_eq or None,
-            b_eq=b_eq or None,
-            bounds=[(None, None)] * n,
-            method="highs",
-        )
-    except Exception:  # pragma: no cover - solver hiccup
-        return None
-    if res.status == 2:
-        return (INFEASIBLE, 0.0)
-    if res.status == 3:
-        return (UNBOUNDED, 0.0)
-    if res.status != 0:  # pragma: no cover - iteration/numeric trouble
-        return None
-    value = sense * res.fun + float(objective.const)
-    return (OPTIMAL, value)
+def _highs_solve(
+    constraints: Sequence[Constraint],
+    index: dict,
+    cost: dict,
+    sense: float = 1.0,
+) -> Optional[tuple]:
+    """One HiGHS model of ``constraints`` (free columns numbered by
+    ``index``, objective ``sense * cost``), solved once.
 
-
-def _float_lp_direct(
-    constraints: Sequence[Constraint], objective: LinExpr, maximize: bool
-) -> Optional[Tuple[str, float]]:
-    """Minimal-overhead path through scipy's bundled HiGHS bindings."""
+    Returns ``(solver, lower, upper)`` with the row bounds, or None when
+    a coefficient does not fit a float or the bindings refuse the model.
+    """
     core = _highs_core
-    variables = sorted(
-        set().union(set(), *[c.support() for c in constraints], objective.support())
-    )
-    index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    if n == 0:
-        for c in constraints:
-            if c.is_contradiction():
-                return (INFEASIBLE, 0.0)
-        return (OPTIMAL, float(objective.const))
     inf = core.kHighsInf
+    n = len(index)
     starts = [0]
     idx: List[int] = []
     vals: List[float] = []
     lower: List[float] = []
     upper: List[float] = []
-    for c in constraints:
-        row, const = c.float_row()
-        for var, k in row:
-            idx.append(index[var])
-            vals.append(k)
-        starts.append(len(idx))
-        lower.append(-const)
-        upper.append(-const if c.rel == EQ else inf)
-    sense = -1.0 if maximize else 1.0
-    cost = [0.0] * n
-    for var, k in objective.coeffs.items():
-        cost[index[var]] = sense * float(k)
+    col_cost = [0.0] * n
+    try:
+        for c in constraints:
+            row, const = c.float_row()
+            for var, k in row:
+                idx.append(index[var])
+                vals.append(k)
+            starts.append(len(idx))
+            lower.append(-const)
+            upper.append(-const if c.rel == EQ else inf)
+        for var, k in cost.items():
+            col_cost[index[var]] = sense * float(k)
+    except OverflowError:
+        return None
     try:
         lp = core.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = len(constraints)
-        lp.col_cost_ = _np.asarray(cost, dtype=float)
+        lp.col_cost_ = _np.asarray(col_cost, dtype=float)
         lp.col_lower_ = _np.full(n, -inf)
         lp.col_upper_ = _np.full(n, inf)
         lp.row_lower_ = _np.asarray(lower, dtype=float)
@@ -831,31 +821,75 @@ def _float_lp_direct(
         solver.setOptionValue("output_flag", False)
         solver.passModel(lp)
         solver.run()
-        status = solver.getModelStatus()
-    except Exception:  # pragma: no cover - fall back to linprog
+    except Exception:  # pragma: no cover - solver hiccup
         return None
-    if status == core.HighsModelStatus.kInfeasible:
+    return solver, lower, upper
+
+
+def _highs_outcome(
+    solver, sense: float, offset: float
+) -> Optional[Tuple[str, float]]:
+    """The last solve as ``(status, value)``; None when inconclusive."""
+    statuses = _highs_core.HighsModelStatus
+    status = solver.getModelStatus()
+    if status == statuses.kInfeasible:
         return (INFEASIBLE, 0.0)
-    if status == core.HighsModelStatus.kUnbounded:
+    if status == statuses.kUnbounded:
         return (UNBOUNDED, 0.0)
-    if status == core.HighsModelStatus.kUnboundedOrInfeasible:
-        return None  # let the slower paths disambiguate
-    if status != core.HighsModelStatus.kOptimal:  # pragma: no cover
+    if status != statuses.kOptimal:
+        # kUnboundedOrInfeasible among others: the exact simplex decides.
         return None
-    value = sense * solver.getInfo().objective_function_value + float(
-        objective.const
+    return (OPTIMAL, sense * solver.getInfo().objective_function_value + offset)
+
+
+def _float_lp(
+    constraints: Sequence[Constraint], objective: LinExpr, maximize: bool
+) -> Optional[Tuple[str, float]]:
+    """Solve with HiGHS; None when HiGHS is not loaded or cannot decide
+    (a system without variables is left to the exact simplex)."""
+    if _highs_core is None:
+        return None
+    variables = sorted(
+        set().union(set(), *[c.support() for c in constraints], objective.support())
     )
-    return (OPTIMAL, value)
+    index = {v: i for i, v in enumerate(variables)}
+    if not index:
+        return None
+    try:
+        offset = float(objective.const)
+    except OverflowError:
+        return None
+    sense = -1.0 if maximize else 1.0
+    model = _highs_solve(constraints, index, objective.coeffs, sense)
+    if model is None:
+        return None
+    return _highs_outcome(model[0], sense, offset)
+
+
+def _margin_verdict(result: Optional[Tuple[str, float]]) -> Optional[bool]:
+    """Is a float ``min expr`` clearly ``>= 0``?  None when it is too
+    close to zero to trust (or there is no float result)."""
+    if result is None:
+        return None
+    status, value = result
+    if status == INFEASIBLE:
+        return True
+    if status == UNBOUNDED:
+        return False
+    if value >= -_TIGHT:
+        return True
+    if value < -_CLEAR:
+        return False
+    return None
 
 
 def is_feasible(constraints: Iterable[Constraint]) -> bool:
     """Rational feasibility of a constraint conjunction."""
     cons = list(constraints)
-    if kernels.FAST and len(cons) <= _INT_DIRECT_MAX:
-        return solve_lp(cons, LinExpr()).status != INFEASIBLE
-    fast = _float_lp(cons, LinExpr(), False)
-    if fast is not None:
-        return fast[0] != INFEASIBLE
+    if not (kernels.FAST and len(cons) <= _INT_DIRECT_MAX):
+        fast = _float_lp(cons, LinExpr(), False)
+        if fast is not None:
+            return fast[0] != INFEASIBLE
     return solve_lp(cons, LinExpr()).status != INFEASIBLE
 
 
@@ -940,24 +974,10 @@ def _min_nonnegative(constraints: Sequence[Constraint], expr: LinExpr) -> bool:
     its memo and warm-start caches) beats the HiGHS per-call overhead
     there, and its verdicts need no margin handling.
     """
-    if kernels.FAST and len(constraints) <= _INT_DIRECT_MAX:
-        result = solve_lp(constraints, expr, maximize=False)
-        if result.status == INFEASIBLE:
-            return True
-        if result.status == UNBOUNDED:
-            return False
-        return result.value >= 0
-    fast = _float_lp(constraints, expr, maximize=False)
-    if fast is not None:
-        status, value = fast
-        if status == INFEASIBLE:
-            return True
-        if status == UNBOUNDED:
-            return False
-        if value >= -_TIGHT:
-            return True
-        if value < -_CLEAR:
-            return False
+    if not (kernels.FAST and len(constraints) <= _INT_DIRECT_MAX):
+        verdict = _margin_verdict(_float_lp(constraints, expr, maximize=False))
+        if verdict is not None:
+            return verdict
     result = solve_lp(constraints, expr, maximize=False)
     if result.status == INFEASIBLE:
         return True
@@ -979,96 +999,45 @@ def minimize_constraints(
     per check.  Dropped rows stay deactivated, so query ``i`` sees
     exactly ``kept + cons[i+1:]``, the reference's ``rest``.
 
-    Clear-margin float verdicts decide directly (same ``_CLEAR`` /
-    ``_TIGHT`` policy as ``_min_nonnegative``); ambiguous ones delegate
-    to :func:`entails` on the reference path.  Returns the kept list, or
+    Clear-margin float verdicts decide directly (the ``_margin_verdict``
+    policy of ``_min_nonnegative``); ambiguous ones delegate to
+    :func:`entails` on the reference path.  Returns the kept list, or
     None when the shared model cannot be built or misbehaves -- the
     caller then runs the reference loop.
     """
-    if _highs_core is None or _EXACT_ONLY:
+    if _highs_core is None:
         return None
-    core = _highs_core
     variables = sorted(set().union(set(), *[c.support() for c in cons]))
     index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    if n == 0:
+    if not index:
         return None
-    inf = core.kHighsInf
-    starts = [0]
-    idx: List[int] = []
-    vals: List[float] = []
-    lower: List[float] = []
-    upper: List[float] = []
-    for c in cons:
-        row, const = c.float_row()
-        for var, k in row:
-            idx.append(index[var])
-            vals.append(k)
-        starts.append(len(idx))
-        lower.append(-const)
-        upper.append(-const if c.rel == EQ else inf)
-    try:
-        lp = core.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = len(cons)
-        lp.col_cost_ = _np.zeros(n)
-        lp.col_lower_ = _np.full(n, -inf)
-        lp.col_upper_ = _np.full(n, inf)
-        lp.row_lower_ = _np.asarray(lower, dtype=float)
-        lp.row_upper_ = _np.asarray(upper, dtype=float)
-        lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
-        lp.a_matrix_.start_ = _np.asarray(starts, dtype=_np.int32)
-        lp.a_matrix_.index_ = _np.asarray(idx, dtype=_np.int32)
-        lp.a_matrix_.value_ = _np.asarray(vals, dtype=float)
-        solver = core._Highs()
-        solver.setOptionValue("output_flag", False)
-        solver.passModel(lp)
-        # One zero-objective probe: an infeasible system needs the
-        # reference path (its component-restricted entailment can answer
-        # differently than the whole-system LP would).
-        solver.run()
-        if solver.getModelStatus() != core.HighsModelStatus.kOptimal:
-            return None
-    except Exception:  # pragma: no cover - solver hiccup
+    inf = _highs_core.kHighsInf
+    # Built with a zero objective, so this first solve is a feasibility
+    # probe: an infeasible system needs the reference path (its
+    # component-restricted entailment can answer differently than the
+    # whole-system LP would).
+    model = _highs_solve(cons, index, {})
+    if model is None:
+        return None
+    solver, lower, upper = model
+    if solver.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
         return None
 
     obj_cols: List[int] = []
 
-    def float_min(coeffs, const) -> Optional[Tuple[str, float]]:
+    def float_min(row, const) -> Optional[Tuple[str, float]]:
         try:
             for j in obj_cols:
                 solver.changeColCost(j, 0.0)
             obj_cols.clear()
-            for var, k in coeffs.items():
+            for var, k in row:
                 j = index[var]
-                solver.changeColCost(j, float(k))
+                solver.changeColCost(j, k)
                 obj_cols.append(j)
             solver.run()
-            status = solver.getModelStatus()
-            if status == core.HighsModelStatus.kInfeasible:
-                return (INFEASIBLE, 0.0)
-            if status == core.HighsModelStatus.kUnbounded:
-                return (UNBOUNDED, 0.0)
-            if status != core.HighsModelStatus.kOptimal:
-                return None
-            value = solver.getInfo().objective_function_value + float(const)
-            return (OPTIMAL, value)
         except Exception:  # pragma: no cover - solver hiccup
             return None
-
-    def margin_verdict(result) -> Optional[bool]:
-        if result is None:
-            return None
-        status, value = result
-        if status == INFEASIBLE:
-            return True
-        if status == UNBOUNDED:
-            return False
-        if value >= -_TIGHT:
-            return True
-        if value < -_CLEAR:
-            return False
-        return None
+        return _highs_outcome(solver, 1.0, const)
 
     kept: List[Constraint] = []
     cons = list(cons)
@@ -1077,10 +1046,11 @@ def minimize_constraints(
             solver.changeRowBounds(i, -inf, inf)
         except Exception:  # pragma: no cover
             return None
-        verdict = margin_verdict(float_min(c.expr.coeffs, c.expr.const))
+        row, const = c.float_row()  # fits a float: it built the model
+        verdict = _margin_verdict(float_min(row, const))
         if verdict is True and c.rel == EQ:
-            neg = c.expr.scale(-1)
-            verdict = margin_verdict(float_min(neg.coeffs, neg.const))
+            negated = [(var, -k) for var, k in row]
+            verdict = _margin_verdict(float_min(negated, -const))
         if verdict is None:  # ambiguous: decide exactly as the reference
             verdict = entails(kept + cons[i + 1:], c, assume_feasible=True)
         if not verdict:
