@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.datawords import terms as T
 from repro.datawords.base import LDWDomain
+from repro.datawords.multiset import MultisetDomain
 from repro.lang import ast as A
 from repro.lang.cfg import CFG, OpAssignPtr, OpCall
 from repro.numeric.linexpr import Constraint, LinExpr
@@ -495,7 +496,10 @@ def _rename_data(domain: LDWDomain, value, old: str, new: str):
 
 
 def _rename_data_map(domain: LDWDomain, value, mapping: Dict[str, str]):
-    """Rename data variables.  Both domains rename via term renaming."""
+    """Rename data variables: the AM domain renames its own columns, an
+    AU value renames its terms."""
+    if isinstance(domain, MultisetDomain):
+        return domain.rename_data(value, mapping)
     if hasattr(value, "E"):  # UniversalValue
         from repro.datawords.universal import UniversalValue
 
@@ -504,13 +508,4 @@ def _rename_data_map(domain: LDWDomain, value, mapping: Dict[str, str]):
             gi: body.rename(mapping) for gi, body in value.clauses.items()
         }
         return UniversalValue(E, clauses, bottom=value.is_bot)
-    if hasattr(value, "rows"):  # MultisetValue
-        from repro.datawords.multiset import MultisetValue
-
-        if value.is_bot:
-            return value
-        rows = [
-            {mapping.get(c, c): k for c, k in r.items()} for r in value.rows
-        ]
-        return MultisetValue(rows)
     raise TypeError(f"cannot rename data in {value!r}")

@@ -16,9 +16,12 @@ The rows are canonical: ``rref`` over the sorted support, which is
 unique for a row space, so equal elements have equal rows.  Under the
 fast kernels (``repro.kernels``) the operations rely on that: join and
 widen return an operand when the rows are equal or one side entails the
-other, entailment reduces by the basis leads, the meet-like transformers
-insert their rows into the basis, and projections wrap the rows they
-keep.  The reference kernels re-eliminate the whole system every time.
+other, and entailment reduces by the basis leads.  Every transformer
+keeps the rows that mention no changed column as they are (a subset of a
+canonical basis is canonical) and inserts only the rows it adds or
+rewrites (``_rebuild``); a projection first eliminates the projected
+columns among the rows that touch them.  The reference kernels
+re-eliminate the whole system every time.
 """
 
 from __future__ import annotations
@@ -88,6 +91,16 @@ class MultisetValue:
         if not self.rows:
             return "AM(top)"
         return "AM(" + " & ".join(_format_row(r) for r in self.rows) + ")"
+
+
+def _rebuild(untouched: Sequence[Row], rows: Iterable[Row]) -> MultisetValue:
+    """``rref(untouched + rows)`` as a value, for ``untouched`` a subset of
+    a canonical basis: such a subset is itself canonical, so only
+    ``rows`` are eliminated, one insertion each."""
+    basis = untouched
+    for row in rows:
+        basis = _insert_row(basis, row)
+    return MultisetValue._canonical(basis)
 
 
 def _columns(rows: Iterable[Row]) -> List[str]:
@@ -201,10 +214,43 @@ class MultisetDomain(LDWDomain):
     def rename_words(self, value: MultisetValue, mapping: Mapping[str, str]) -> MultisetValue:
         if value.is_bot:
             return value
-        rows = [
-            {T.rename_term(c, mapping): k for c, k in r.items()} for r in value.rows
-        ]
-        return MultisetValue(rows)
+        return self._rename_columns(
+            value, {c: T.rename_term(c, mapping) for c in value.support()}
+        )
+
+    def rename_data(self, value: MultisetValue, mapping: Mapping[str, str]) -> MultisetValue:
+        """Rename data variables (columns of ``mapping``; word terms stay)."""
+        if value.is_bot:
+            return value
+        return self._rename_columns(value, mapping)
+
+    def _rename_columns(self, value: MultisetValue, mapping: Mapping[str, str]) -> MultisetValue:
+        """Rename the columns of a non-bottom ``value`` (columns that
+        ``mapping`` does not name keep theirs)."""
+        if not kernels.FAST:
+            return MultisetValue(
+                [{mapping.get(c, c): k for c, k in r.items()} for r in value.rows]
+            )
+        support = sorted(value.support())
+        images = [mapping.get(c, c) for c in support]
+        moved = {c: new for c, new in zip(support, images) if new != c}
+        if not moved:
+            return value
+        rows: List[Row] = []
+        untouched: List[Row] = []
+        renamed: List[Row] = []
+        for r in value.rows:
+            if moved.keys().isdisjoint(r):
+                untouched.append(r)
+            else:
+                r = {moved.get(c, c): k for c, k in r.items()}
+                renamed.append(r)
+            rows.append(r)
+        if all(a < b for a, b in zip(images, images[1:])):
+            # An order-keeping renaming is injective and keeps each row's
+            # lead and the order of the leads: the rows stay canonical.
+            return MultisetValue._canonical(rows)
+        return _rebuild(untouched, renamed)
 
     def project_words(self, value: MultisetValue, words: Iterable[str]) -> MultisetValue:
         cols = set()
@@ -222,25 +268,36 @@ class MultisetDomain(LDWDomain):
         present = value.support() & cols
         if not present:
             return value
-        all_cols = _columns(list(value.rows))
-        ordering = sorted(present) + [c for c in all_cols if c not in present]
-        reduced = _rref([dict(r) for r in value.rows], ordering)
-        kept = [r for r in reduced if not (set(r) & present)]
         # RREF with the projected columns ordered first leaves the rows
         # free of them in RREF over the remaining (sorted) columns.
-        return MultisetValue._canonical(kept) if kernels.FAST else MultisetValue(kept)
+        if not kernels.FAST:
+            all_cols = _columns(list(value.rows))
+            ordering = sorted(present) + [c for c in all_cols if c not in present]
+            reduced = _rref([dict(r) for r in value.rows], ordering)
+            return MultisetValue([r for r in reduced if not (set(r) & present)])
+        # Only the rows touching ``present`` are eliminated: with U the
+        # rows free of it and T the rest, span(U + T) ∩ {present = 0} is
+        # span(U) + (span(T) ∩ {present = 0}), and a single row of T
+        # spans nothing free of ``present``.
+        untouched: List[Row] = []
+        touched: List[Row] = []
+        for r in value.rows:
+            (untouched if present.isdisjoint(r) else touched).append(r)
+        kept: List[Row] = []
+        if len(touched) > 1:
+            ordering = sorted(present) + [c for c in _columns(touched) if c not in present]
+            kept = [r for r in _rref(touched, ordering) if present.isdisjoint(r)]
+        return _rebuild(untouched, kept)
 
     def _with_rows(self, value: MultisetValue, rows: Sequence[Row]) -> MultisetValue:
         """The conjunction of ``value`` with ``rows`` (a bottom ``value``
         counts as having no rows)."""
         if not kernels.FAST:
             return MultisetValue(list(value.rows) + list(rows))
-        basis = list(value.rows)
-        for row in rows:
-            basis = _insert_row(basis, row)
-        if not value.is_bot and len(basis) == len(value.rows):
+        out = _rebuild(value.rows, rows)
+        if not value.is_bot and len(out.rows) == len(value.rows):
             return value  # every row was already entailed
-        return MultisetValue._canonical(basis)
+        return out
 
     def add_singleton_word(self, value: MultisetValue, word: str) -> MultisetValue:
         if value.is_bot:
@@ -265,24 +322,29 @@ class MultisetDomain(LDWDomain):
         renaming = {fresh: T.mtl(target)}
         if target != parts[0]:
             renaming[T.mhd(parts[0])] = T.mhd(target)
-        rows = [{renaming.get(c, c): k for c, k in r.items()} for r in out.rows]
-        return MultisetValue(rows)
+        return self._rename_columns(out, renaming)
 
     def split(self, value: MultisetValue, word: str, tail: str) -> MultisetValue:
         if value.is_bot:
             return value
         # old mtl(word) = mhd(tail) ⊎ mtl(tail); mhd(word) is unchanged;
         # the remaining head word is a singleton (mtl = emptyset).
-        rows = []
-        for r in value.rows:
-            k = r.get(T.mtl(word), Fraction(0))
-            new = {c: v for c, v in r.items() if c != T.mtl(word)}
+        old = T.mtl(word)
+
+        def substitute(r: Row) -> Row:
+            k = r.get(old, Fraction(0))
+            new = {c: v for c, v in r.items() if c != old}
             if k != 0:
                 new[T.mhd(tail)] = new.get(T.mhd(tail), 0) + k
                 new[T.mtl(tail)] = new.get(T.mtl(tail), 0) + k
-            rows.append(new)
-        rows.append({T.mtl(word): Fraction(1)})
-        return MultisetValue(rows)
+            return new
+
+        singleton = {old: Fraction(1)}
+        if not kernels.FAST:
+            return MultisetValue([substitute(r) for r in value.rows] + [singleton])
+        untouched = [r for r in value.rows if old not in r]
+        changed = [substitute(r) for r in value.rows if old in r]
+        return _rebuild(untouched, changed + [singleton])
 
     def restrict_len1(self, value: MultisetValue, word: str) -> MultisetValue:
         if value.is_bot:

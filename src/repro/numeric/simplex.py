@@ -780,7 +780,10 @@ def _highs_solve(
     ``index``, objective ``sense * cost``), solved once.
 
     Returns ``(solver, lower, upper)`` with the row bounds, or None when
-    a coefficient does not fit a float or the bindings refuse the model.
+    a coefficient does not fit a float, a matrix coefficient lies outside
+    the range HiGHS accepts (it drops entries at or below its
+    ``small_matrix_value`` without a word), or the bindings refuse the
+    model.
     """
     core = _highs_core
     inf = core.kHighsInf
@@ -805,6 +808,11 @@ def _highs_solve(
     except OverflowError:
         return None
     try:
+        solver = core._Highs()
+        small = _highs_option(solver, "small_matrix_value")
+        large = _highs_option(solver, "large_matrix_value")
+        if not all(small < abs(k) <= large for k in vals):
+            return None
         lp = core.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = len(constraints)
@@ -817,13 +825,18 @@ def _highs_solve(
         lp.a_matrix_.start_ = _np.asarray(starts, dtype=_np.int32)
         lp.a_matrix_.index_ = _np.asarray(idx, dtype=_np.int32)
         lp.a_matrix_.value_ = _np.asarray(vals, dtype=float)
-        solver = core._Highs()
         solver.setOptionValue("output_flag", False)
         solver.passModel(lp)
         solver.run()
     except Exception:  # pragma: no cover - solver hiccup
         return None
     return solver, lower, upper
+
+
+def _highs_option(solver, name: str):
+    """An option's value (the bindings return it alone or after a status)."""
+    value = solver.getOptionValue(name)
+    return value[-1] if isinstance(value, tuple) else value
 
 
 def _highs_outcome(

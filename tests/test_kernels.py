@@ -7,12 +7,14 @@ identity of fast-mode summaries against the reference kernels.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from repro import kernels
 from repro.core.api import Analyzer
+from repro.datawords import terms as T
 from repro.datawords.multiset import MultisetDomain, MultisetValue
 from repro.lang.benchlib import benchmark_program
 from repro.numeric import linalg, simplex
@@ -281,6 +283,86 @@ def test_projection_rows_are_canonical():
     assert [domain._project_columns(v, c).rows for v, c in cases] == [
         out.rows for out in fast
     ]
+
+
+def _word_value(rng, words, dvars):
+    """A canonical AM value over ``mhd``/``mtl`` of ``words`` and ``dvars``."""
+    columns = [T.mhd(w) for w in words] + [T.mtl(w) for w in words] + dvars
+    rows = [
+        {
+            c: Fraction(rng.choice((-2, -1, 1, 1, 2)), rng.choice((1, 1, 2)))
+            for c in rng.sample(columns, rng.randint(1, 4))
+        }
+        for _ in range(rng.randint(1, 6))
+    ]
+    return MultisetValue(rows)
+
+
+def _renaming(rng, names, pool, kind):
+    """Rename ``names`` (sorted) into ``pool``: the identity, an
+    order-keeping renaming, or one that changes the order."""
+    if kind == "identity":
+        return {n: n for n in names}
+    if kind == "keep":
+        return dict(zip(names, sorted(rng.sample(pool, len(names)))))
+    while True:
+        targets = rng.sample(pool, len(names))
+        if targets != sorted(targets):
+            return dict(zip(names, targets))
+
+
+def test_renamings_and_unfolds_equal_full_elimination():
+    """The fast ``rename_words``, ``rename_data``, ``split`` and ``concat``
+    re-eliminate only the rows they change; their rows must be canonical
+    and equal to the reference kernels' full elimination."""
+    rng = random.Random(5)
+    domain = MultisetDomain()
+    word_pool = [f"n{i}" for i in range(1, 9)]
+    data_pool = ["a", "d", "e", "k", "z"]  # around and between the word terms
+    cases = []
+    kinds = Counter()
+    for _ in range(1500):
+        words = sorted(rng.sample(word_pool, rng.randint(3, 4)))
+        dvars = sorted(rng.sample(data_pool, 2))
+        value = _word_value(rng, words, dvars)
+        kind = rng.choice(("identity", "keep", "change"))
+        kinds[kind] += 1
+        word_map = _renaming(rng, words, word_pool, kind)
+        data_map = _renaming(rng, dvars, data_pool, rng.choice(("identity", "keep", "change")))
+        fresh = [w for w in word_pool if w not in words]
+        word, tail = rng.sample(words, 2)
+        parts = rng.sample(words, rng.randint(2, 3))
+        target = rng.choice((parts[0], rng.choice(fresh)))
+        cases.append((value, word_map, data_map, word, rng.choice((tail, fresh[0])), target, parts))
+
+    def run():
+        return [
+            (
+                domain.rename_words(value, word_map),
+                domain.rename_data(value, data_map),
+                domain.split(value, word, tail),
+                domain.concat(value, target, parts),
+            )
+            for value, word_map, data_map, word, tail, target, parts in cases
+        ]
+
+    fast = run()
+    for outs in fast:
+        for out in outs:
+            assert list(out.rows) == _canonical(list(out.rows))
+    kernels.set_mode("reference")
+    reference = run()
+    assert [[o.rows for o in outs] for outs in reference] == [
+        [o.rows for o in outs] for outs in fast
+    ]
+    assert min(kinds.values()) > 400
+    # Many renamings change some rows and leave others untouched.
+    mixed = 0
+    for value, word_map, *_ in cases:
+        moved = {c for c in value.support() if T.rename_term(c, word_map) != c}
+        touched = sum(not moved.isdisjoint(r) for r in value.rows)
+        mixed += 0 < touched < len(value.rows)
+    assert mixed > 300
 
 
 # -- corpus-wide representation identity --------------------------------------

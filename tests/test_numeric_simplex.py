@@ -183,6 +183,21 @@ class TestFloatPrePass:
             kept = Polyhedron(cons).minimized().constraints
         assert set(kept) == set(Polyhedron([kept_row] + _chain(1, 24)).constraints)
 
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_coefficient_below_highs_matrix_range_falls_back_to_exact(self, mode):
+        # HiGHS drops matrix entries at or below its small_matrix_value
+        # (1e-9) without an error: x would vanish from this row.
+        far = Constraint.ge(v("x").scale(Fraction(1, 10**12)), 1)  # x >= 10**12
+        cons = [far] + _chain(1, 24)
+        assert len(cons) > simplex._INT_DIRECT_MAX
+        with kernels.mode_ctx(mode):
+            for system in ([far], cons):
+                assert is_feasible(system)
+                assert not entails(system, Constraint.le(v("x"), 0))
+                assert entails(system, Constraint.ge(v("x"), 10**12))
+            kept = Polyhedron(cons + [Constraint.ge(v("x"), 0)]).minimized()
+        assert set(kept.constraints) == set(Polyhedron(cons).constraints)
+
     def test_import_loads_highs_without_scipy_optimize(self):
         if importlib.util.find_spec("scipy") is None:
             pytest.skip("scipy is not installed")
