@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
+from repro import kernels
 from repro.datawords import terms as T
 from repro.numeric.linexpr import Constraint, LinExpr
 from repro.numeric.polyhedra import Polyhedron
@@ -63,7 +64,8 @@ class Pattern:
         return GuardInstance(self.name, tuple(words))
 
 
-_GUARD_CACHE: Dict["GuardInstance", Polyhedron] = {}
+# GuardInstance -> guard polyhedron; a Table 1 pass builds about 55.
+_GUARD_CACHE = kernels.memo(10_000)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class GuardInstance:
                 self.pattern.extra_guard(self.words, self.pattern.posvars())
             )
             cached = Polyhedron(cons)
-            _GUARD_CACHE[self] = cached
+            _GUARD_CACHE.put(self, cached)
         return cached
 
     def elem_terms(self) -> List[str]:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import base64
 import pickle
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Tuple
+
+from repro.kernels import LRUMemo
 
 CacheKey = Tuple  # (program_fp, proc, domain_desc, k, hook_tag, assume_tag)
 
@@ -42,63 +43,5 @@ def decode_payload(encoded: str) -> Any:
     return pickle.loads(base64.b64decode(encoded))
 
 
-class SummaryCache:
-    """An LRU cache of analysis-run payloads with accounting.
-
-    A payload is whatever the engine wants to reuse — the engine stores a
-    list of ``(proc, entry_heap, summary)`` triples covering every record
-    of the run.  The cache treats payloads as opaque.
-    """
-
-    def __init__(self, max_entries: int = 128):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-
-    # -- lookup ----------------------------------------------------------------
-
-    def get(self, key: CacheKey) -> Optional[Any]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: CacheKey, payload: Any) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = payload
-        self.stores += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    # -- accounting -------------------------------------------------------------
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate(), 4),
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
+# The kernels' bounded LRU memo; it treats run payloads as opaque.
+SummaryCache = LRUMemo

@@ -30,34 +30,28 @@ _FM_BLOWUP_CAP = 600
 # function of the ordered normalized keys, so equal keys mean
 # representation-identical operands and the cached result is
 # representation-identical to a fresh join.
-_JOIN_CACHE: dict = {}
-_JOIN_CACHE_MAX = 50_000
-_JOIN_STATS = {"hits": 0, "misses": 0}
+_JOIN_CACHE = kernels.memo(50_000)
 
 # minimized() memo.  Keyed on the exact (non-normalized) constraint tuple:
 # Constraint.__hash__/__eq__ compare representations bit-for-bit, so a hit
 # returns the very Polyhedron a fresh sweep over the same list would build.
-_MIN_CACHE: dict = {}
-_MIN_CACHE_MAX = 50_000
-_MIN_STATS = {"hits": 0, "misses": 0}
+_MIN_CACHE = kernels.memo(50_000)
 
 
 def cache_stats() -> dict:
     return {
-        "join_hits": _JOIN_STATS["hits"],
-        "join_misses": _JOIN_STATS["misses"],
+        "join_hits": _JOIN_CACHE.hits,
+        "join_misses": _JOIN_CACHE.misses,
         "join_entries": len(_JOIN_CACHE),
-        "min_hits": _MIN_STATS["hits"],
-        "min_misses": _MIN_STATS["misses"],
+        "min_hits": _MIN_CACHE.hits,
+        "min_misses": _MIN_CACHE.misses,
         "min_entries": len(_MIN_CACHE),
     }
 
 
 def clear_caches() -> None:
     _JOIN_CACHE.clear()
-    _JOIN_STATS["hits"] = _JOIN_STATS["misses"] = 0
     _MIN_CACHE.clear()
-    _MIN_STATS["hits"] = _MIN_STATS["misses"] = 0
 
 
 def _direction_of(constraint: Constraint) -> Tuple[Tuple, Fraction]:
@@ -288,16 +282,12 @@ class Polyhedron:
             )
             cached = _JOIN_CACHE.get(memo_key)
             if cached is not None:
-                _JOIN_STATS["hits"] += 1
                 return cached
-            _JOIN_STATS["misses"] += 1
         result = self._hull_join(other)
         if result is None:
             result = self._weak_join(other)
         if kernels.FAST:
-            if len(_JOIN_CACHE) > _JOIN_CACHE_MAX:
-                _JOIN_CACHE.clear()
-            _JOIN_CACHE[memo_key] = result
+            _JOIN_CACHE.put(memo_key, result)
         return result
 
     def _hull_join(self, other: "Polyhedron") -> Optional["Polyhedron"]:
@@ -449,9 +439,7 @@ class Polyhedron:
             mkey = tuple(cons)
             cached = _MIN_CACHE.get(mkey)
             if cached is not None:
-                _MIN_STATS["hits"] += 1
                 return cached
-            _MIN_STATS["misses"] += 1
         result = None
         if kernels.FAST and len(cons) > simplex._INT_DIRECT_MAX:
             # Large sweeps share one warm-started LP model instead of
@@ -467,9 +455,7 @@ class Polyhedron:
                     kept.append(c)
             result = Polyhedron(kept)
         if kernels.FAST:
-            if len(_MIN_CACHE) > _MIN_CACHE_MAX:
-                _MIN_CACHE.clear()
-            _MIN_CACHE[mkey] = result
+            _MIN_CACHE.put(mkey, result)
         return result
 
     def equalities(self) -> List[Constraint]:

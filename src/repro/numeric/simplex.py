@@ -186,18 +186,16 @@ def _simplex_phase(
 # or absence of ``0 >= 0`` cannot alias two systems; and (e) the
 # objective's key includes its constant and the ``maximize`` sense is a
 # separate key component.
-_SOLVE_CACHE: dict = {}
-_SOLVE_CACHE_MAX = 200_000
-_SOLVE_STATS = {"hits": 0, "misses": 0}
+_SOLVE_CACHE = kernels.memo(200_000)
 
 # Warm-start snapshots of the fast integer simplex: for a constraint
 # system already driven through phase 1, later queries over the same
 # system (new objective) restart at phase 2, and queries that add one
 # constraint re-enter phase 1 with a single artificial row instead of m.
-_BASIS_CACHE: dict = {}
-_BASIS_CACHE_MAX = 20_000
-_BASIS_STATS = {"phase2_reuse": 0, "incremental_reuse": 0, "int_solves": 0,
-                "int_fallbacks": 0}
+# Its hits are the phase-2 restarts and its lookups the integer solves;
+# ``_try_incremental`` peeks, so it counts in neither.
+_BASIS_CACHE = kernels.memo(20_000)
+_incremental_reuses = _int_fallbacks = 0
 
 # Integer tableau entries past this bit-length abort the fast solver in
 # favour of the exact-Fraction reference ("overflow risk" for the fast
@@ -217,24 +215,23 @@ def cache_stats() -> dict:
     """Hit/miss counters of the exact-LP memo (cumulative per process);
     the engine reports per-run deltas in its ``stats()['lp_cache']``."""
     return {
-        "solve_hits": _SOLVE_STATS["hits"],
-        "solve_misses": _SOLVE_STATS["misses"],
+        "solve_hits": _SOLVE_CACHE.hits,
+        "solve_misses": _SOLVE_CACHE.misses,
         "solve_entries": len(_SOLVE_CACHE),
         "entails_entries": len(_ENTAILS_CACHE),
-        "basis_phase2_reuse": _BASIS_STATS["phase2_reuse"],
-        "basis_incremental_reuse": _BASIS_STATS["incremental_reuse"],
-        "int_solves": _BASIS_STATS["int_solves"],
-        "int_fallbacks": _BASIS_STATS["int_fallbacks"],
+        "basis_phase2_reuse": _BASIS_CACHE.hits,
+        "basis_incremental_reuse": _incremental_reuses,
+        "int_solves": _BASIS_CACHE.hits + _BASIS_CACHE.misses,
+        "int_fallbacks": _int_fallbacks,
     }
 
 
 def clear_caches() -> None:
+    global _incremental_reuses, _int_fallbacks
     _SOLVE_CACHE.clear()
     _ENTAILS_CACHE.clear()
     _BASIS_CACHE.clear()
-    _SOLVE_STATS["hits"] = _SOLVE_STATS["misses"] = 0
-    for key in _BASIS_STATS:
-        _BASIS_STATS[key] = 0
+    _incremental_reuses = _int_fallbacks = 0
 
 
 def solve_lp(
@@ -250,6 +247,7 @@ def solve_lp(
     feasibility and optimizes.  Results are memoized on the canonical
     constraint system (see ``_SOLVE_CACHE``).
     """
+    global _int_fallbacks
     cons = [c for c in constraints if not c.is_trivial()]
     for c in cons:
         if c.is_contradiction():
@@ -264,19 +262,15 @@ def solve_lp(
     memo_key = (sys_key, objective, maximize)
     cached = _SOLVE_CACHE.get(memo_key)
     if cached is not None:
-        _SOLVE_STATS["hits"] += 1
         return cached
-    _SOLVE_STATS["misses"] += 1
     result = None
     if kernels.FAST:
         result = _solve_lp_int(cons, objective, maximize, sys_key)
         if result is None:
-            _BASIS_STATS["int_fallbacks"] += 1
+            _int_fallbacks += 1
     if result is None:
         result = _solve_lp_uncached(cons, objective, maximize)
-    if len(_SOLVE_CACHE) > _SOLVE_CACHE_MAX:
-        _SOLVE_CACHE.clear()
-    _SOLVE_CACHE[memo_key] = result
+    _SOLVE_CACHE.put(memo_key, result)
     return result
 
 
@@ -512,11 +506,9 @@ def _snapshot(rows, dens, basis, variables, art_cols):
 
 
 def _store_basis(sys_key, rows, dens, basis, variables, art_cols):
-    if len(_BASIS_CACHE) > _BASIS_CACHE_MAX:
-        _BASIS_CACHE.clear()
-    _BASIS_CACHE[sys_key] = _snapshot(
+    _BASIS_CACHE.put(sys_key, _snapshot(
         rows, dens, basis, tuple(variables), frozenset(art_cols)
-    )
+    ))
 
 
 _INFEASIBLE_MARK = object()
@@ -524,10 +516,8 @@ _INFEASIBLE_MARK = object()
 
 def _solve_lp_int(cons, objective, maximize, sys_key):
     """Fast-path exact solve; None means "fall back to the reference"."""
-    _BASIS_STATS["int_solves"] += 1
     state = _BASIS_CACHE.get(sys_key)
     if state is not None:
-        _BASIS_STATS["phase2_reuse"] += 1
         rows, dens, basis, variables, art_cols = _snapshot(*state)
         if not objective.support() <= set(variables):
             # Feasible system (phase 1 succeeded) with an objective term
@@ -631,11 +621,12 @@ def _try_incremental(cons, sys_key):
     constraint contradicts the cached system, or None when no one-smaller
     system is cached (or the warm start cannot apply).
     """
+    global _incremental_reuses
     for added in cons:
         smaller = sys_key - {added.key()}
         if len(smaller) != len(sys_key) - 1:
             continue  # duplicate keys; ambiguous removal
-        state = _BASIS_CACHE.get(smaller)
+        state = _BASIS_CACHE.peek(smaller)
         if state is None:
             continue
         rows, dens, basis, variables, art_cols = _snapshot(*state)
@@ -645,7 +636,7 @@ def _try_incremental(cons, sys_key):
         if grown is _INFEASIBLE_MARK:
             return _INFEASIBLE_MARK
         if grown is not None:
-            _BASIS_STATS["incremental_reuse"] += 1
+            _incremental_reuses += 1
             return grown
     return None
 
@@ -934,8 +925,7 @@ def _connected_subset(
     return picked
 
 
-_ENTAILS_CACHE: dict = {}
-_ENTAILS_CACHE_MAX = 400_000
+_ENTAILS_CACHE = kernels.memo(400_000)
 
 
 def entails(
@@ -972,9 +962,7 @@ def entails(
     answer = _min_nonnegative(constraints, candidate.expr)
     if answer and candidate.rel == EQ:
         answer = _min_nonnegative(constraints, candidate.expr.scale(-1))
-    if len(_ENTAILS_CACHE) > _ENTAILS_CACHE_MAX:
-        _ENTAILS_CACHE.clear()
-    _ENTAILS_CACHE[sys_key] = answer
+    _ENTAILS_CACHE.put(sys_key, answer)
     return answer
 
 

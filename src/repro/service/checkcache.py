@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import copy
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.kernels import LRUMemo
 
 
 Owner = Tuple[str, str]  # (tenant, program_id)
@@ -37,7 +38,6 @@ class CheckFindingCache:
     per tier."""
 
     def __init__(self, max_owners: int):
-        self.max_owners = max(1, max_owners)
         self._lock = threading.Lock()
         # owner -> {"config": (tier, domain, k),
         #           "procs": {proc: {"lint": (key, [records]),
@@ -45,15 +45,15 @@ class CheckFindingCache:
         #                            "termination": (key, [records], status)}},
         #           "queries": {(proc, line, rule, domain, k):
         #                       (cone key, answer JSON)}}
-        self._caches: "OrderedDict[Owner, Dict[str, Any]]" = OrderedDict()
+        self._caches = LRUMemo(max(1, max_owners))
 
     def _touch(self, owner: Owner) -> Dict[str, Any]:
         """The owner's cache, marked most recently used; evicts past
         ``max_owners``.  Call while holding the lock."""
-        cache = self._caches.setdefault(owner, {})
-        self._caches.move_to_end(owner)
-        while len(self._caches) > self.max_owners:
-            self._caches.popitem(last=False)
+        cache = self._caches.get(owner)
+        if cache is None:
+            cache = {}
+            self._caches.put(owner, cache)
         return cache
 
     def __len__(self) -> int:
@@ -219,9 +219,9 @@ class CheckFindingCache:
     ) -> Optional[Dict[str, Any]]:
         """The cached answer, or None when missing or cone-stale."""
         with self._lock:
-            if owner not in self._caches:
+            cache = self._caches.get(owner)
+            if cache is None:
                 return None
-            cache = self._touch(owner)
             entry = (cache.get("queries") or {}).get(query_key)
             if entry is None or entry[0] != cone_key:
                 return None
@@ -251,7 +251,7 @@ class CheckFindingCache:
         with self._lock:
             owners = [
                 owner
-                for owner in self._caches
+                for owner in self._caches.keys()
                 if tenant in (None, owner[0]) and program_id in (None, owner[1])
             ]
             for owner in owners:

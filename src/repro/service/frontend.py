@@ -26,9 +26,9 @@ cached findings and query answers stay per ``(tenant, program_id)``.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from repro.kernels import LRUMemo
 from repro.lang import parse_source
 from repro.lang.cfg import build_icfg
 from repro.service.checkcache import CheckFindingCache
@@ -78,24 +78,19 @@ class FrontendCache:
     """
 
     def __init__(self, max_entries: int):
-        self.max_entries = max(1, max_entries)
         self._lock = threading.Lock()
-        self._frontends: "OrderedDict[str, Frontend]" = OrderedDict()
+        self._frontends = LRUMemo(max(1, max_entries))
 
     def resolve(self, source: str) -> Tuple[Frontend, bool]:
         """The frontend of ``source`` and whether it was resident; a
         parse or type error propagates and caches nothing."""
         with self._lock:
             frontend = self._frontends.get(source)
-            if frontend is not None:
-                self._frontends.move_to_end(source)
-                return frontend, True
+        if frontend is not None:
+            return frontend, True
         frontend = Frontend(parse_source(source))
         with self._lock:
-            self._frontends[source] = frontend
-            self._frontends.move_to_end(source)
-            while len(self._frontends) > self.max_entries:
-                self._frontends.popitem(last=False)
+            self._frontends.put(source, frontend)
         return frontend, False
 
     def __len__(self) -> int:
