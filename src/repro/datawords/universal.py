@@ -154,7 +154,7 @@ class UniversalDomain(LDWDomain):
     def _merge(self, value1, value2, combine, contextualize: bool) -> UniversalValue:
         E = combine(value1.E, value2.E)
         clauses: Dict[GuardInstance, Polyhedron] = {}
-        for gi in set(value1.clauses) | set(value2.clauses):
+        for gi in dict.fromkeys([*value1.clauses, *value2.clauses]):
             b1 = self._effective_body(value1, gi)
             b2 = self._effective_body(value2, gi)
             if contextualize:

@@ -11,7 +11,8 @@ work:
   objects), plus program fingerprints for cache keys;
 - :mod:`repro.engine.cache` — a summary cache keyed by
   ``(program, procedure, domain, patterns, k, hooks)`` with hit/miss/
-  eviction accounting and an optional on-disk JSON store;
+  eviction accounting, held in memory (the on-disk store is
+  :mod:`repro.parallel.store`);
 - :mod:`repro.engine.scheduler` — a priority worklist that condenses the
   call graph into SCCs (Tarjan) and analyzes the condensation bottom-up,
   ordering records within an SCC by dependency depth;

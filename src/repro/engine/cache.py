@@ -15,32 +15,19 @@ tables (every ``(proc, entry, summary)`` of the run, not only the root's)
 keeps the AM-strengthening hook exact: it looks up callee records of the
 AM engine by entry key, and those must all be present on a hit.
 
-Cross-run persistence is :class:`repro.parallel.store.PersistentSummaryStore`
-(one file per key, safe for worker pools); it shares this module's
-payload encoding, a base64 pickle inside JSON (summaries contain domain
-values — exact rationals, polyhedra — with no faithful pure-JSON form).
+Cross-run persistence, with its payload codec, is
+:class:`repro.parallel.store.PersistentSummaryStore` (one file per key,
+safe for worker pools, compacted into packs); this cache keeps run
+payloads as opaque in-memory objects.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
-from typing import Any, Tuple
+from typing import Tuple
 
 from repro.kernels import LRUMemo
 
 CacheKey = Tuple  # (program_fp, proc, domain_desc, k, hook_tag, assume_tag)
-
-
-def encode_payload(payload: Any) -> str:
-    """Base64-pickle a run payload for a JSON store (see module docstring
-    for why payloads have no faithful pure-JSON form)."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return base64.b64encode(blob).decode("ascii")
-
-
-def decode_payload(encoded: str) -> Any:
-    return pickle.loads(base64.b64decode(encoded))
 
 
 # The kernels' bounded LRU memo; it treats run payloads as opaque.

@@ -11,13 +11,12 @@ clients needs:
   429-style shedding with ``retry_after_ms`` and per-request deadlines;
 - :mod:`repro.gateway.sessions` — multi-tenant incremental sessions
   (each tenant keeps its own dirty-cone state) under an LRU bound;
-- :mod:`repro.gateway.storetier` — a compacting, size-budgeted wrapper
-  around the one-file-per-key PR 3 store (generational pack files +
-  background GC) so the layout survives millions of keys;
 - :mod:`repro.gateway.server` — the asyncio front end speaking the
   NDJSON protocol of :mod:`repro.service.protocol` plus an HTTP-ish
   ``GET /metrics`` endpoint in Prometheus exposition format
-  (:mod:`repro.gateway.metrics`).
+  (:mod:`repro.gateway.metrics`), and a background task that keeps the
+  shared summary store (:mod:`repro.parallel.store`) compacted into
+  pack files and under its byte budget.
 
 ``python -m repro.gateway`` / ``repro-gateway`` run the same CLI as
 ``python -m repro.service`` / ``repro-serve``.
@@ -26,7 +25,6 @@ clients needs:
 from repro.gateway.scheduler import FairScheduler, SchedulerConfig, Shed
 from repro.gateway.server import AnalysisGateway, GatewayConfig
 from repro.gateway.sessions import SessionManager
-from repro.gateway.storetier import CompactingStore, StoreBudget
 
 __all__ = [
     "AnalysisGateway",
@@ -35,6 +33,4 @@ __all__ = [
     "SchedulerConfig",
     "Shed",
     "SessionManager",
-    "CompactingStore",
-    "StoreBudget",
 ]

@@ -46,13 +46,12 @@ from repro.engine.telemetry import Telemetry
 from repro.gateway import metrics as M
 from repro.gateway.scheduler import FairScheduler, SchedulerConfig, Shed
 from repro.gateway.sessions import SessionManager
-from repro.gateway.storetier import CompactingStore, StoreBudget
+from repro.parallel.store import PersistentSummaryStore
 from repro.service import diagnostics as D
 from repro.service import protocol as P
 from repro.service.executor import VerbExecutor
 
 DEFAULT_TENANT = "default"
-COMPACT_MIN_LOOSE = 256  # loose store files that trigger a pack compaction
 MAINTENANCE_INTERVAL_S = 5.0  # seconds between store maintenance passes
 
 
@@ -85,7 +84,7 @@ class _GatewayJob:
 
 
 class AnalysisGateway:
-    """One gateway instance: scheduler, sessions, store tier, metrics."""
+    """One gateway instance: scheduler, sessions, summary store, metrics."""
 
     def __init__(self, config: Optional[GatewayConfig] = None):
         self.config = config or GatewayConfig()
@@ -102,13 +101,7 @@ class AnalysisGateway:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-gateway-")
             store_dir = self._tmp.name
         self.store_dir = store_dir
-        self.store = CompactingStore(
-            store_dir,
-            budget=StoreBudget(
-                max_bytes=self.config.max_store_bytes,
-                compact_min_loose=COMPACT_MIN_LOOSE,
-            ),
-        )
+        self.store = PersistentSummaryStore(store_dir)
         self.sessions = SessionManager(
             max_sessions=self.config.max_sessions,
             store_dir=store_dir,
@@ -192,7 +185,7 @@ class AnalysisGateway:
                 pass
         self._threads.shutdown(wait=True)
         self.sessions.close()
-        self.store.maintain()
+        self.store.maintain(self.config.max_store_bytes)
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
@@ -484,7 +477,10 @@ class AnalysisGateway:
                     "sessions": self.sessions.describe(),
                     "sessions_resident": len(self.sessions),
                     "sessions_evicted": self.sessions.evictions,
-                    "store": self.store.stats(),
+                    "store": dict(
+                        self.store.stats(),
+                        max_bytes=self.config.max_store_bytes,
+                    ),
                     "telemetry": self.telemetry.report(),
                 },
             )
@@ -508,7 +504,9 @@ class AnalysisGateway:
         while not self._draining:
             try:
                 await asyncio.sleep(MAINTENANCE_INTERVAL_S)
-                report = await loop.run_in_executor(None, self.store.maintain)
+                report = await loop.run_in_executor(
+                    None, self.store.maintain, self.config.max_store_bytes
+                )
                 if report["compacted"]:
                     self.telemetry.count(
                         "store.compacted_entries", report["compacted"]

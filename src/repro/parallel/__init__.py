@@ -20,8 +20,9 @@ state and can run on separate worker processes.
   ``Analyzer.analyze_batch`` facade and the ``python -m repro.parallel``
   CLI drive;
 - :mod:`repro.parallel.store` — a cross-run persistent summary store
-  (one atomic file per key, versioned by a schema fingerprint) shared by
-  every worker and by later runs.
+  (one atomic file per key, versioned by a schema fingerprint, compacted
+  into pack files and GC'd under a byte budget) shared by every worker
+  and by later runs.
 
 Parallel and sequential runs produce identical summaries: each request
 is analyzed by the same deterministic sequential engine in a fresh

@@ -197,10 +197,10 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _classify(outcome: TaskOutcome) -> TaskOutcome:
-    """Downgrade an "ok" outcome whose analysis only produced partial
-    summaries because an engine budget fired (the worker reports those as
-    diagnostics on the output rather than a raised exception)."""
+def _classify(outcome: TaskOutcome) -> None:
+    """Downgrade, in place, an "ok" outcome whose analysis only produced
+    partial summaries because an engine budget fired (the worker reports
+    those as diagnostics on the output rather than a raised exception)."""
     output = outcome.result
     if (
         outcome.status == OK
@@ -209,7 +209,6 @@ def _classify(outcome: TaskOutcome) -> TaskOutcome:
     ):
         outcome.status = BUDGET
         outcome.error = dict(output.diagnostics[0])
-    return outcome
 
 
 def run_batch(
@@ -229,49 +228,24 @@ def run_batch(
     ``trace_dir``) into one ordered run trace after the batch finishes.
     """
     start = time.perf_counter()
-    if jobs == 0:
-        outcomes = []
-        for request in requests:
-            t0 = time.perf_counter()
-            cpu0 = time.process_time()
-            try:
-                output = run_analysis_request(request)
-                outcome = TaskOutcome(
-                    task_id=request.task_id,
-                    status=OK,
-                    result=output,
-                    wall_time=time.perf_counter() - t0,
-                    cpu_time=time.process_time() - cpu0,
-                )
-            except Exception as exc:
-                outcome = TaskOutcome(
-                    task_id=request.task_id,
-                    status="failed",
-                    error={"type": type(exc).__name__, "message": str(exc)},
-                    wall_time=time.perf_counter() - t0,
-                )
-            outcome = _classify(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
-            outcomes.append(outcome)
-    else:
-        pool = WorkerPool(
-            jobs=jobs, retry_crashed=retry_crashed, hard_grace=hard_grace
+    pool = WorkerPool(jobs=jobs, retry_crashed=retry_crashed, hard_grace=hard_grace)
+    tasks = [
+        PoolTask(
+            task_id=request.task_id,
+            fn=run_analysis_request,
+            args=(request,),
+            budget=request.max_seconds,
+            deps=request.deps,
         )
-        tasks = [
-            PoolTask(
-                task_id=request.task_id,
-                fn=run_analysis_request,
-                args=(request,),
-                budget=request.max_seconds,
-                deps=request.deps,
-            )
-            for request in requests
-        ]
-        outcomes = [
-            _classify(outcome)
-            for outcome in pool.run(tasks, on_outcome=on_outcome)
-        ]
+        for request in requests
+    ]
+
+    def finished(outcome: TaskOutcome) -> None:
+        _classify(outcome)  # before ``on_outcome`` sees it
+        if on_outcome is not None:
+            on_outcome(outcome)
+
+    outcomes = pool.run(tasks, on_outcome=finished)
 
     merged = None
     if trace_path is not None:

@@ -93,16 +93,16 @@ class TaskOutcome:
         return base
 
 
-def _worker_main(conn, fn, args, kwargs) -> None:
-    """Child entry: run the task, report (status, payload, wall, cpu)."""
+def _execute(task: PoolTask, catch=Exception) -> Tuple[str, Any, float, float]:
+    """Run one task here: (status, result or error, wall, cpu).  An
+    ``AnalysisBudgetExceeded`` is BUDGET; any other ``catch`` is FAILED."""
     start = time.perf_counter()
     cpu_start = time.process_time()
     try:
-        result = fn(*args, **kwargs)
-        message = (OK, result)
+        message = (OK, task.fn(*task.args, **task.kwargs))
     except AnalysisBudgetExceeded as exc:
         message = (BUDGET, exc.to_dict())
-    except BaseException as exc:  # report, don't let the child die silently
+    except catch as exc:
         message = (
             FAILED,
             {
@@ -111,11 +111,29 @@ def _worker_main(conn, fn, args, kwargs) -> None:
                 "traceback": traceback.format_exc(),
             },
         )
+    return message + (time.perf_counter() - start, time.process_time() - cpu_start)
+
+
+def _outcome(task: PoolTask, message, attempt: int = 0, pid=None) -> TaskOutcome:
+    status, body, wall, cpu = message
+    return TaskOutcome(
+        task_id=task.task_id,
+        status=status,
+        result=body if status == OK else None,
+        error=None if status == OK else body,
+        wall_time=wall,
+        cpu_time=cpu,
+        retries=attempt,
+        worker_pid=pid,
+    )
+
+
+def _worker_main(conn, task: PoolTask) -> None:
+    """Child entry: run the task and send its report to the parent."""
+    # A child reports every exception rather than dying silently.
+    message = _execute(task, catch=BaseException)
     try:
-        conn.send(
-            message
-            + (time.perf_counter() - start, time.process_time() - cpu_start)
-        )
+        conn.send(message)
         conn.close()
     except Exception:  # parent gone or result unpicklable
         os._exit(81)
@@ -134,9 +152,12 @@ class _Running:
 class WorkerPool:
     """Run :class:`PoolTask`s on up to ``jobs`` worker processes.
 
-    ``context`` selects the multiprocessing start method; the default
-    prefers ``fork`` (no re-import cost per task, task functions need not
-    be importable) and falls back to ``spawn`` elsewhere.
+    ``jobs=0`` runs every task inline in this process, in submission
+    order, with the same outcome records but no isolation: no retries,
+    no hard kills.  ``context`` selects the multiprocessing start method;
+    the default prefers ``fork`` (no re-import cost per task, task
+    functions need not be importable) and falls back to ``spawn``
+    elsewhere.
     """
 
     def __init__(
@@ -146,8 +167,8 @@ class WorkerPool:
         hard_grace: float = 10.0,
         context: Optional[str] = None,
     ):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if jobs < 0:
+            raise ValueError("jobs must be >= 0")
         self.jobs = jobs
         self.retry_crashed = retry_crashed
         self.hard_grace = hard_grace
@@ -163,7 +184,7 @@ class WorkerPool:
         recv, send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(send, task.fn, task.args, task.kwargs),
+            args=(send, task),
             daemon=True,
         )
         process.start()
@@ -189,17 +210,7 @@ class WorkerPool:
         running.conn.close()
         wall = time.monotonic() - running.started
         if payload is not None:
-            status, body, task_wall, task_cpu = payload
-            return TaskOutcome(
-                task_id=task.task_id,
-                status=status,
-                result=body if status == OK else None,
-                error=None if status == OK else body,
-                wall_time=task_wall,
-                cpu_time=task_cpu,
-                retries=running.attempt,
-                worker_pid=running.process.pid,
-            )
+            return _outcome(task, payload, running.attempt, running.process.pid)
         # Worker died without reporting: crashed.
         if running.attempt < self.retry_crashed:
             self.crash_retries += 1
@@ -258,6 +269,14 @@ class WorkerPool:
                     raise ValueError(
                         f"task {task.task_id!r} depends on unknown {dep!r}"
                     )
+
+        if self.jobs == 0:
+            inline = []
+            for task in tasks:
+                inline.append(_outcome(task, _execute(task)))
+                if on_outcome is not None:
+                    on_outcome(inline[-1])
+            return inline
 
         outcomes: Dict[str, TaskOutcome] = {}
         done: set = set()

@@ -1,9 +1,10 @@
 """Cross-run persistent summary store, shareable between worker processes.
 
 :class:`~repro.engine.cache.SummaryCache` lives in one process's memory;
-this store is the on-disk summary format, shared by a worker pool where
-many processes publish results concurrently.  It keeps **one file per
-cache key** under a directory, so:
+this module is the on-disk summary format, shared by a worker pool where
+many processes publish results concurrently, and the only code that
+reads or writes it.  Entries are **loose files**, one per cache key,
+under a directory, so:
 
 - writes are atomic and race-free: an entry is written to a unique
   temporary file in the same directory and ``os.replace``-d into place
@@ -17,29 +18,35 @@ cache key** under a directory, so:
   change, old entries silently miss (and are unlinked) instead of being
   unpickled into a wrong or crashing shape.
 
-Payload encoding is shared with :mod:`repro.engine.cache` (base64 pickle
-inside JSON), and the store exposes the same ``get``/``put``/``stats``
-surface, so it can be passed directly as ``EngineOptions(cache=...)``.
+Payloads are a base64 pickle inside JSON (:func:`encode_payload`):
+summaries contain domain values — exact rationals, polyhedra — with no
+faithful pure-JSON form.  The store exposes the ``get``/``put``/
+``stats`` surface of the in-memory cache, so it can be passed directly
+as ``EngineOptions(cache=...)``.
 
 **Pack files.**  One file per key does not survive millions of keys
-(directory scans, inode pressure, per-file syscall overhead), so the
-gateway's store tier (:mod:`repro.gateway.storetier`) periodically
-*compacts* cold loose entries into immutable pack files under
-``<directory>/packs/`` — one JSON object holding many entries.  Reads
-here are pack-aware: a key that misses as a loose file is answered from
-the newest pack that holds it.  Writes always go to loose files (packs
-are immutable; GC deletes whole packs oldest-generation-first), so a
-worker writing concurrently with a compaction can never be torn: the
+(directory scans, inode pressure, per-file syscall overhead), so
+:meth:`PersistentSummaryStore.compact` bundles the loose entries into an
+immutable pack file under ``<directory>/packs/`` — one JSON object
+holding many entries — and :meth:`~PersistentSummaryStore.gc` deletes
+whole packs, oldest generation first, then the oldest loose files, until
+the store fits a byte budget.  The gateway runs both through
+:meth:`~PersistentSummaryStore.maintain` from a background task.  Reads
+are pack-aware: a key that misses as a loose file is answered from the
+newest pack that holds it.  Writes always go to loose files, and a pack
+is published before the loose files it holds are unlinked, so a worker
+writing concurrently with a compaction can never be torn or lost: the
 worst case is a loose file and a pack both holding the byte-identical
 content-addressed entry.
 
-``python -m repro.parallel.store DIR --stats --gc --max-bytes N`` (also
-installed as ``repro-store``) runs offline maintenance against any
-existing store directory.
+``python -m repro.parallel.store DIR --stats --compact --gc --max-bytes
+N`` (also installed as ``repro-store``) runs the same maintenance
+offline against any existing store directory.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import inspect
 import json
@@ -47,15 +54,29 @@ import os
 import pickle
 import sys
 import tempfile
-from typing import Any, Dict, Optional
+import time
+from typing import Any, Dict, List, Optional
 
-from repro.engine.cache import CacheKey, decode_payload, encode_payload
+from repro.engine.cache import CacheKey
 from repro.engine.canon import stable_digest
+from repro.kernels import LRUMemo
 
 # Bump when the on-disk entry layout (not the payload classes) changes.
 SCHEMA_VERSION = 1
+COMPACT_MIN_LOOSE = 256  # loose entries that make maintain() compact
+PARSED_PACKS = 4  # packs a store keeps parsed in memory
 
 _fingerprint_cache: Optional[str] = None
+
+
+def encode_payload(payload: Any) -> str:
+    """Base64-pickle a run payload for a JSON entry."""
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return base64.b64encode(blob).decode("ascii")
+
+
+def decode_payload(encoded: str) -> Any:
+    return pickle.loads(base64.b64decode(encoded))
 
 
 def schema_fingerprint() -> str:
@@ -95,8 +116,22 @@ def schema_fingerprint() -> str:
     return _fingerprint_cache
 
 
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _size(path: str) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
 class PersistentSummaryStore:
-    """A directory of one-file-per-key analysis payloads.
+    """A directory of loose one-file-per-key entries plus pack files.
 
     API-compatible with :class:`SummaryCache` where the engine needs it
     (``get``/``put``/``stats``/``__len__``/``__contains__``), so a store
@@ -116,11 +151,16 @@ class PersistentSummaryStore:
         self.stores = 0
         self.stale_discards = 0
         self.disk_errors = 0
-        # digest -> pack path, lazily (re)built from the packs dir; the
-        # loaded-pack cache keeps recently-read packs parsed in memory.
-        self._pack_index: Optional[Dict[str, str]] = None
-        self._pack_files: frozenset = frozenset()
-        self._loaded_packs: Dict[str, Dict[str, Any]] = {}
+        self.compactions = 0
+        self.compacted_entries = 0
+        self.gc_runs = 0
+        self.gc_evicted_files = 0
+        self.gc_evicted_bytes = 0
+        # digest -> pack path over the pack files seen last, built lazily;
+        # parsed packs are cached separately under a small bound.
+        self._pack_files: List[str] = []
+        self._pack_index: Dict[str, str] = {}
+        self._parsed_packs = LRUMemo(PARSED_PACKS)
 
     # -- paths -----------------------------------------------------------------
 
@@ -131,57 +171,63 @@ class PersistentSummaryStore:
     def pack_directory(self) -> str:
         return os.path.join(self.directory, self.PACK_DIR)
 
+    def _loose_paths(self) -> List[str]:
+        """Published loose entries; a writer's in-flight ``.tmp-`` file
+        is not one."""
+        try:
+            names = os.listdir(self.directory)
+        except OSError:
+            return []
+        return [
+            os.path.join(self.directory, name)
+            for name in names
+            if name.endswith(".json") and not name.startswith(".tmp-")
+        ]
+
+    def _pack_paths(self) -> List[str]:
+        """Pack files, oldest generation first."""
+        try:
+            names = os.listdir(self.pack_directory)
+        except OSError:
+            return []
+        return [
+            os.path.join(self.pack_directory, name)
+            for name in sorted(names)
+            if name.startswith("pack-") and name.endswith(".json")
+        ]
+
     # -- pack index ------------------------------------------------------------
 
-    def _list_packs(self) -> frozenset:
-        try:
-            return frozenset(
-                name
-                for name in os.listdir(self.pack_directory)
-                if name.startswith("pack-") and name.endswith(".json")
-            )
-        except OSError:
-            return frozenset()
-
-    def _refresh_pack_index(self) -> Dict[str, str]:
-        """(Re)build digest -> pack path.  Packs are scanned newest
-        generation first, so a digest present in several packs resolves
-        to its freshest copy."""
-        files = self._list_packs()
-        if self._pack_index is not None and files == self._pack_files:
+    def _index(self) -> Dict[str, str]:
+        """digest -> path of the newest pack holding it.  New packs that
+        sort after every known one (a compaction) are folded in; any
+        other change to the pack set rebuilds the index."""
+        files = self._pack_paths()
+        if files == self._pack_files:
             return self._pack_index
-        index: Dict[str, str] = {}
-        for name in sorted(files, reverse=True):
-            path = os.path.join(self.pack_directory, name)
-            entries = self._load_pack(path)
-            for digest in entries:
-                index.setdefault(digest, path)
+        known = len(self._pack_files)
+        if files[:known] != self._pack_files:
+            self._pack_index, known = {}, 0
+        for path in files[known:]:
+            for digest in self._load_pack(path):
+                self._pack_index[digest] = path
         self._pack_files = files
-        self._pack_index = index
-        self._loaded_packs = {
-            path: doc
-            for path, doc in self._loaded_packs.items()
-            if os.path.basename(path) in files
-        }
-        return index
+        return self._pack_index
 
     def _load_pack(self, path: str) -> Dict[str, Any]:
-        doc = self._loaded_packs.get(path)
-        if doc is not None:
-            return doc
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            entries = loaded.get("entries") or {}
-        except Exception:
-            self.disk_errors += 1
-            entries = {}
-        self._loaded_packs[path] = entries
+        entries = self._parsed_packs.get(path)
+        if entries is None:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    entries = json.load(fh).get("entries") or {}
+            except Exception:
+                self.disk_errors += 1
+                entries = {}
+            self._parsed_packs.put(path, entries)
         return entries
 
     def _get_from_packs(self, digest: str) -> Optional[Any]:
-        index = self._refresh_pack_index()
-        path = index.get(digest)
+        path = self._index().get(digest)
         if path is None:
             return None
         doc = self._load_pack(path).get(digest)
@@ -219,10 +265,7 @@ class PersistentSummaryStore:
         if doc.get("fingerprint") != self.fingerprint:
             self.stale_discards += 1
             self.misses += 1
-            try:  # self-invalidate: a stale entry will never hit again
-                os.unlink(path)
-            except OSError:
-                pass
+            _unlink(path)  # self-invalidate: a stale entry never hits again
             return None
         try:
             payload = decode_payload(doc["payload"])
@@ -253,10 +296,7 @@ class PersistentSummaryStore:
             os.replace(tmp, path)  # atomic on POSIX: no torn reads
         except Exception:
             self.disk_errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink(tmp)
             return
         self.stores += 1
 
@@ -265,60 +305,145 @@ class PersistentSummaryStore:
     def __contains__(self, key: CacheKey) -> bool:
         if os.path.exists(self._path(key)):
             return True
-        return stable_digest(key) in self._refresh_pack_index()
+        return stable_digest(key) in self._index()
 
     def loose_count(self) -> int:
-        try:
-            return sum(
-                1
-                for name in os.listdir(self.directory)
-                if name.endswith(".json") and not name.startswith(".tmp-")
-            )
-        except OSError:
-            return 0
+        return len(self._loose_paths())
 
     def packed_count(self) -> int:
-        return len(self._refresh_pack_index())
+        return len(self._index())
 
     def __len__(self) -> int:
         return self.loose_count() + self.packed_count()
 
     def total_bytes(self) -> int:
         """On-disk footprint: loose entries plus pack files."""
-        total = 0
-        try:
-            for name in os.listdir(self.directory):
-                if name.endswith(".json") and not name.startswith(".tmp-"):
-                    try:
-                        total += os.path.getsize(
-                            os.path.join(self.directory, name)
-                        )
-                    except OSError:
-                        pass
-        except OSError:
-            return total
-        for name in self._list_packs():
-            try:
-                total += os.path.getsize(os.path.join(self.pack_directory, name))
-            except OSError:
-                pass
-        return total
+        return sum(map(_size, self._loose_paths() + self._pack_paths()))
 
     def clear(self) -> None:
-        for name in os.listdir(self.directory):
-            if name.endswith(".json"):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except OSError:
-                    pass
-        for name in self._list_packs():
+        for path in self._loose_paths() + self._pack_paths():
+            _unlink(path)
+        self._pack_files = []
+        self._pack_index = {}
+        self._parsed_packs.clear()
+
+    # -- maintenance -----------------------------------------------------------
+
+    def maintain(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
+        """One maintenance step: compact once ``COMPACT_MIN_LOOSE`` loose
+        entries have piled up, then GC down to ``max_bytes`` (None: no
+        budget).  Cheap when there is nothing to do."""
+        out = {"compacted": 0, "gc_files": 0, "gc_bytes": 0}
+        if self.loose_count() >= COMPACT_MIN_LOOSE:
+            out["compacted"] = self.compact()
+        if max_bytes is not None and self.total_bytes() > max_bytes:
+            gc = self.gc(max_bytes)
+            out["gc_files"] = gc["evicted_files"]
+            out["gc_bytes"] = gc["evicted_bytes"]
+        return out
+
+    def compact(self) -> int:
+        """Bundle the current loose entries into one new pack; returns
+        the number of entries packed.
+
+        Publication order is the safety argument: the pack is fully
+        written and ``os.replace``-d into ``packs/`` *before* any loose
+        file is unlinked, so a concurrent reader always finds every key
+        in at least one place, and a concurrent writer's fresh loose
+        file (same content-addressed bytes) simply wins the next read.
+        """
+        entries: Dict[str, Any] = {}
+        packed_files = []
+        for path in sorted(self._loose_paths()):
             try:
-                os.unlink(os.path.join(self.pack_directory, name))
-            except OSError:
+                with open(path, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            except Exception:
+                continue  # torn/corrupt loose file: leave it alone
+            if doc.get("fingerprint") != self.fingerprint:
+                _unlink(path)  # stale generation: drop instead of packing
+                continue
+            entries[os.path.basename(path)[: -len(".json")]] = doc
+            packed_files.append(path)
+        if not entries:
+            return 0
+        os.makedirs(self.pack_directory, exist_ok=True)
+        seq = self._next_generation()
+        content_tag = stable_digest(sorted(entries))[:8]
+        pack_name = f"pack-{seq:08d}-{content_tag}.json"
+        fd, tmp = tempfile.mkstemp(
+            dir=self.pack_directory, prefix=".tmp-", suffix=".json"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(
+                    {
+                        "schema": "repro-pack/1",
+                        "generation": seq,
+                        "created": time.time(),
+                        "fingerprint": self.fingerprint,
+                        "entries": entries,
+                    },
+                    fh,
+                )
+            os.replace(tmp, os.path.join(self.pack_directory, pack_name))
+        except Exception:
+            _unlink(tmp)
+            return 0
+        for path in packed_files:
+            _unlink(path)
+        self.compactions += 1
+        self.compacted_entries += len(entries)
+        return len(entries)
+
+    def _next_generation(self) -> int:
+        latest = 0
+        for path in self._pack_paths():
+            try:
+                latest = max(latest, int(os.path.basename(path).split("-")[1]))
+            except (IndexError, ValueError):
                 pass
-        self._pack_index = None
-        self._pack_files = frozenset()
-        self._loaded_packs.clear()
+        return latest + 1
+
+    def gc(self, max_bytes: Optional[int]) -> Dict[str, int]:
+        """Evict until the store fits ``max_bytes`` (None: evict
+        nothing).  Oldest pack generations go first, then the oldest
+        loose files by mtime.  Evicting is always safe: the store caches
+        deterministic results, so a later miss recomputes the
+        byte-identical payload."""
+        if max_bytes is None:
+            return {"evicted_files": 0, "evicted_bytes": 0,
+                    "bytes": self.total_bytes()}
+
+        def mtime(path):
+            try:
+                return os.path.getmtime(path)
+            except OSError:
+                return 0.0
+
+        packs = self._pack_paths()
+        loose = sorted(self._loose_paths(), key=mtime)
+        total = sum(map(_size, packs + loose))
+        evicted_files = evicted_bytes = 0
+        for path in packs + loose:
+            if total <= max_bytes:
+                break
+            try:
+                size = os.path.getsize(path)
+                os.unlink(path)
+            except OSError:
+                continue
+            total -= size
+            evicted_files += 1
+            evicted_bytes += size
+        self.gc_runs += 1
+        self.gc_evicted_files += evicted_files
+        self.gc_evicted_bytes += evicted_bytes
+        return {
+            "evicted_files": evicted_files,
+            "evicted_bytes": evicted_bytes,
+            "bytes": total,
+        }
 
     # -- accounting ------------------------------------------------------------
 
@@ -327,12 +452,15 @@ class PersistentSummaryStore:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, Any]:
+        loose = self._loose_paths()
+        packed = self.packed_count()
+        packs = self._pack_files  # the listing the index was checked against
         return {
-            "entries": len(self),
-            "loose": self.loose_count(),
-            "packed": self.packed_count(),
-            "packs": len(self._list_packs()),
-            "bytes": self.total_bytes(),
+            "entries": len(loose) + packed,
+            "loose": len(loose),
+            "packed": packed,
+            "packs": len(packs),
+            "bytes": sum(map(_size, loose + packs)),
             "hits": self.hits,
             "pack_hits": self.pack_hits,
             "misses": self.misses,
@@ -340,6 +468,11 @@ class PersistentSummaryStore:
             "stores": self.stores,
             "stale_discards": self.stale_discards,
             "disk_errors": self.disk_errors,
+            "compactions": self.compactions,
+            "compacted_entries": self.compacted_entries,
+            "gc_runs": self.gc_runs,
+            "gc_evicted_files": self.gc_evicted_files,
+            "gc_evicted_bytes": self.gc_evicted_bytes,
         }
 
 
@@ -354,8 +487,6 @@ def main(argv=None) -> int:
     """
     import argparse
 
-    from repro.gateway.storetier import CompactingStore, StoreBudget
-
     ap = argparse.ArgumentParser(
         prog="repro-store",
         description="maintain a persistent summary store directory",
@@ -369,23 +500,18 @@ def main(argv=None) -> int:
                     help="evict oldest generations until under --max-bytes")
     ap.add_argument("--max-bytes", type=int, default=None,
                     help="byte budget for --gc (default: keep everything)")
-    ap.add_argument("--min-loose", type=int, default=1,
-                    help="compact only when at least this many loose files")
     ap.add_argument("--json", action="store_true",
                     help="print accounting as JSON")
     args = ap.parse_args(argv)
     if not os.path.isdir(args.directory):
         print(f"error: {args.directory} is not a directory", file=sys.stderr)
         return 2
-    budget = StoreBudget(
-        max_bytes=args.max_bytes, compact_min_loose=max(1, args.min_loose)
-    )
-    store = CompactingStore(args.directory, budget=budget)
+    store = PersistentSummaryStore(args.directory)
     report: Dict[str, Any] = {"directory": args.directory}
     if args.compact:
         report["compacted"] = store.compact()
     if args.gc:
-        report["gc"] = store.gc()
+        report["gc"] = store.gc(args.max_bytes)
     if args.stats or not (args.compact or args.gc):
         report["stats"] = store.stats()
     if args.json:

@@ -1,5 +1,11 @@
 """Unit tests for the AU domain and the split#/concat# engine (paper §3.2, §4)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 from repro.datawords import terms as T
 from repro.datawords.patterns import GuardInstance, pattern_set
 from repro.datawords.universal import UniversalDomain, UniversalValue
@@ -423,3 +429,42 @@ class TestEvaluation:
         gi, body = all1_body("x", Constraint.ge(v(T.elem("x", "y1")), 5))
         val = UniversalValue(Polyhedron.top(), {gi: body})
         assert "ALL1" in d.describe(val)
+
+
+class TestDeterminism:
+    def test_lp_work_is_independent_of_string_hashing(self):
+        # The clause merge order used to follow set iteration, so the LP
+        # queries of an AU run (and their counters) varied with
+        # PYTHONHASHSEED; init/au issued 3,267 vs 3,277 solves at seeds 0/7.
+        code = textwrap.dedent(
+            """
+            import json
+            from repro import Analyzer
+            from repro.lang.benchlib import benchmark_program
+            from repro.numeric import simplex
+
+            simplex.clear_caches()
+            result = Analyzer(benchmark_program()).analyze("init", domain="au")
+            print(json.dumps({
+                "lp": simplex.cache_stats(),
+                "hashes": sorted(map(list, result.summary_hashes())),
+            }, sort_keys=True))
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        procs = []
+        for seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", code], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ))
+        runs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            runs.append(json.loads(out))
+        assert runs[0] == runs[1]

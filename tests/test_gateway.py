@@ -1,14 +1,10 @@
 """Tests of the multi-tenant analysis gateway (``repro.gateway``).
 
-Five layers:
+Four layers:
 
 - **scheduler**: start-time fair queuing dispatch order, weights, bounded
   per-tenant queues (shed with a retry hint), deadline shedding — all as
   a pure data structure, deterministically;
-- **store tier**: pack compaction roundtrip (reads stay correct through
-  and after compaction, concurrent writers are never lost), byte-budget
-  GC keeps a seeded 10k-key store under budget, and warm re-analysis
-  after eviction stays hash-identical to cold (a miss just recomputes);
 - **sessions**: LRU residency bound with eviction accounting;
 - **gateway end-to-end**: per-tenant isolation, fairness under a gated
   dispatcher (a greedy flood cannot starve a light tenant), deterministic
@@ -26,17 +22,13 @@ import time
 
 import pytest
 
-from repro.core.api import Analyzer
 from repro.gateway.scheduler import FairScheduler, SchedulerConfig, Shed
 from repro.gateway.server import AnalysisGateway, GatewayConfig, GatewayThread
 from repro.gateway.sessions import SessionManager
-from repro.gateway.storetier import CompactingStore, StoreBudget
 from repro.lang import parse_source
-from repro.parallel.store import PersistentSummaryStore
 from repro.service.client import ServiceClient
 from repro.service.diagnostics import envelope_records
 from repro.service.frontend import Frontend, FrontendCache
-from repro.service.session import Session
 
 CHAIN = """
 proc leaf(x: list) returns (r: list) { r = x; }
@@ -134,106 +126,6 @@ class TestFairScheduler:
         assert rows["a"]["served"] == 1
         assert rows["a"]["shed"] == 1
         assert rows["a"]["depth"] == 0
-
-
-# -- store tier -----------------------------------------------------------------
-
-
-class TestCompactingStore:
-    def test_pack_roundtrip_preserves_every_key(self, tmp_path):
-        store = CompactingStore(str(tmp_path), StoreBudget(compact_min_loose=1))
-        for i in range(50):
-            store.inner.put(("k", i), {"v": i})
-        assert store.compact() == 50
-        assert store.inner.loose_count() == 0
-        assert store.inner.packed_count() == 50
-        for i in range(50):
-            assert store.get(("k", i)) == {"v": i}
-            assert ("k", i) in store.inner
-
-    def test_writer_racing_compaction_is_never_lost(self, tmp_path):
-        # A writer that lands a loose file *after* compaction scanned the
-        # directory keeps its entry: compaction only unlinks the files it
-        # packed, and reads prefer loose files over packs.
-        store = CompactingStore(str(tmp_path))
-        writer = PersistentSummaryStore(str(tmp_path))  # separate handle
-        for i in range(20):
-            store.inner.put(("k", i), {"v": i})
-        real_listdir = os.listdir
-        raced = {"done": False}
-
-        def listdir_then_write(path):
-            names = real_listdir(path)
-            if not raced["done"] and path == str(tmp_path):
-                raced["done"] = True
-                writer.put(("late", 99), {"late": True})
-            return names
-
-        import repro.gateway.storetier as storetier_mod
-
-        orig = storetier_mod.os.listdir
-        storetier_mod.os.listdir = listdir_then_write
-        try:
-            store.compact()
-        finally:
-            storetier_mod.os.listdir = orig
-        assert store.get(("late", 99)) == {"late": True}
-        for i in range(20):
-            assert store.get(("k", i)) == {"v": i}
-
-    def test_generations_stack_and_newest_wins(self, tmp_path):
-        store = CompactingStore(str(tmp_path))
-        store.inner.put(("a",), {"gen": 1})
-        assert store.compact() == 1
-        store.inner.put(("b",), {"gen": 2})
-        assert store.compact() == 1
-        assert store.inner.stats()["packs"] == 2
-        assert store.get(("a",)) == {"gen": 1}
-        assert store.get(("b",)) == {"gen": 2}
-
-    def test_gc_keeps_10k_key_store_under_budget(self, tmp_path):
-        budget = 256 * 1024
-        store = CompactingStore(
-            str(tmp_path),
-            StoreBudget(
-                max_bytes=budget, compact_min_loose=1000, check_interval=256
-            ),
-        )
-        for i in range(10_000):
-            store.put(("key", i), {"summary": i, "payload": "x" * 32})
-        store.maintain()
-        assert store.total_bytes() <= budget
-        assert store.compactions >= 1  # generations were packed...
-        assert store.gc_evicted_files >= 1  # ...and the oldest evicted
-        # Whatever survived still reads back exactly.
-        alive = sum(
-            1 for i in range(10_000) if store.get(("key", i)) is not None
-        )
-        assert 0 < alive < 10_000
-
-    def test_warm_reanalysis_after_eviction_matches_cold(self, tmp_path):
-        # Evicting the whole store between runs must not change results:
-        # a store miss recomputes the byte-identical summaries.
-        store_dir = str(tmp_path / "store")
-        session = Session(
-            Frontend(parse_source(CHAIN)), store_dir=store_dir, jobs=0
-        )
-        session.analyze(domains=("am",))
-        CompactingStore(store_dir).gc(max_bytes=0)  # evict everything
-        edited = edit_procedure(CHAIN, "leaf")
-        session.update_source(edited)
-        warm = session.analyze(domains=("am",))
-        cold = Analyzer.from_source(edited).analyze_batch(
-            domains=("am",), jobs=0
-        )
-        cold_hashes = {
-            out.task_id: out.result.summary_hashes for out in cold.outcomes
-        }
-        warm_hashes = {
-            tid: out.summary_hashes for tid, out in warm.outputs.items()
-        }
-        assert warm_hashes == cold_hashes
-        session.close()
 
 
 # -- sessions -------------------------------------------------------------------

@@ -6,7 +6,10 @@ Three layers:
   retried once and succeeds), budgets (cooperative and hard kills),
   dependency scheduling, deterministic submission-order join;
 - **store**: atomic one-file-per-key persistence, schema-fingerprint
-  self-invalidation, corrupt-entry tolerance;
+  self-invalidation, corrupt-entry tolerance; pack compaction (reads
+  stay correct through and after it, a racing writer is never lost),
+  byte-budget GC of a 10k-key store, warm == cold after eviction, a
+  bounded parsed-pack cache and the ``repro-store`` CLI;
 - **batch determinism**: the headline property — a parallel batch run
   (jobs=4) produces byte-identical summary hashes to the sequential
   baseline (jobs=0) on every corpus entry and on the paper's benchmark
@@ -30,6 +33,8 @@ from repro.parallel import (
     plan_shards,
     schema_fingerprint,
 )
+from repro.parallel.store import COMPACT_MIN_LOOSE, PARSED_PACKS
+from repro.parallel.store import main as store_main
 
 CORPUS = Path(__file__).parent.parent / "tests" / "corpus"
 
@@ -89,6 +94,12 @@ def _die_once(sentinel, value):
 
 def _die_always():
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _over_budget():
+    from repro.core.interproc import AnalysisBudgetExceeded
+
+    raise AnalysisBudgetExceeded("too slow", kind="wall_clock", limit=1)
 
 
 def _check_marker(marker_dir, my_id, deps):
@@ -177,6 +188,26 @@ class TestWorkerPool:
                 [PoolTask("a", _echo, args=(1,), deps=("ghost",))]
             )
 
+    def test_inline_pool_maps_statuses_like_workers(self):
+        seen = []
+        outcomes = WorkerPool(jobs=0).run(
+            [
+                PoolTask("echo", _echo, args=("x",)),
+                PoolTask("raises", _boom),
+                PoolTask("budget", _over_budget),
+            ],
+            on_outcome=lambda outcome: seen.append(outcome.task_id),
+        )
+        assert seen == ["echo", "raises", "budget"]  # submission order
+        ok, failed, budget = outcomes
+        assert ok.status == "ok" and ok.result == "x"
+        assert ok.cpu_time is not None and ok.worker_pid is None
+        assert failed.status == "failed"
+        assert failed.error["type"] == "ValueError"
+        assert "intentional" in failed.error["message"]
+        assert budget.status == "budget"
+        assert budget.error["kind"] == "wall_clock"
+
     def test_duplicate_task_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             WorkerPool(jobs=1).run(
@@ -236,6 +267,168 @@ class TestPersistentSummaryStore:
         (tmp_path / ".tmp-abandoned.json").write_text("{}")
         store.put(self.KEY, ["x"])
         assert len(store) == 1
+
+    def test_clear_keeps_in_flight_writes(self, tmp_path):
+        store = PersistentSummaryStore(str(tmp_path))
+        store.put(self.KEY, ["x"])
+        assert store.compact() == 1
+        store.put(("other",), ["y"])
+        (tmp_path / ".tmp-in-flight.json").write_text("{}")
+        store.clear()
+        assert len(store) == 0 and store.total_bytes() == 0
+        assert (tmp_path / ".tmp-in-flight.json").exists()
+
+    # -- packs, compaction and GC ----------------------------------------------
+
+    def test_pack_roundtrip_preserves_every_key(self, tmp_path):
+        store = PersistentSummaryStore(str(tmp_path))
+        for i in range(50):
+            store.put(("k", i), {"v": i})
+        assert store.compact() == 50
+        assert store.loose_count() == 0
+        assert store.packed_count() == 50
+        for i in range(50):
+            assert store.get(("k", i)) == {"v": i}
+            assert ("k", i) in store
+
+    def test_writer_racing_compaction_is_never_lost(self, tmp_path, monkeypatch):
+        # A writer that lands a loose file *after* compaction scanned the
+        # directory keeps its entry: compaction only unlinks the files it
+        # packed, and reads prefer loose files over packs.
+        import repro.parallel.store as store_mod
+
+        store = PersistentSummaryStore(str(tmp_path))
+        writer = PersistentSummaryStore(str(tmp_path))  # separate handle
+        for i in range(20):
+            store.put(("k", i), {"v": i})
+        real_listdir = os.listdir
+        raced = {"done": False}
+
+        def listdir_then_write(path):
+            names = real_listdir(path)
+            if not raced["done"] and path == str(tmp_path):
+                raced["done"] = True
+                writer.put(("late", 99), {"late": True})
+            return names
+
+        monkeypatch.setattr(store_mod.os, "listdir", listdir_then_write)
+        assert store.compact() == 20
+        monkeypatch.undo()
+        assert raced["done"]
+        assert store.get(("late", 99)) == {"late": True}
+        for i in range(20):
+            assert store.get(("k", i)) == {"v": i}
+
+    def test_generations_stack_and_newest_wins(self, tmp_path):
+        store = PersistentSummaryStore(str(tmp_path))
+        store.put(("a",), {"gen": 1})
+        assert store.compact() == 1
+        store.put(("b",), {"gen": 2})
+        assert store.compact() == 1
+        # The same key re-packed later resolves to the newer pack.
+        store.put(("a",), {"gen": 3})
+        assert store.compact() == 1
+        assert store.stats()["packs"] == 3
+        assert store.get(("a",)) == {"gen": 3}
+        assert store.get(("b",)) == {"gen": 2}
+
+    def test_parsed_packs_stay_bounded(self, tmp_path):
+        writer = PersistentSummaryStore(str(tmp_path))
+        packs = PARSED_PACKS + 3
+        for gen in range(packs):
+            writer.put(("k", gen), {"gen": gen})
+            assert writer.compact() == 1
+        reader = PersistentSummaryStore(str(tmp_path))
+        stats = reader.stats()  # what a gateway `status` call runs
+        assert stats["packs"] == packs and stats["packed"] == packs
+        assert len(reader._parsed_packs) <= PARSED_PACKS
+        for gen in range(packs):
+            assert reader.get(("k", gen)) == {"gen": gen}
+        assert len(reader._parsed_packs) <= PARSED_PACKS
+        assert reader.pack_hits == packs
+
+    def test_maintain_compacts_only_past_the_threshold(self, tmp_path):
+        store = PersistentSummaryStore(str(tmp_path))
+        for i in range(COMPACT_MIN_LOOSE - 1):
+            store.put(("k", i), i)
+        assert store.maintain()["compacted"] == 0
+        store.put(("k", "last"), "last")
+        assert store.maintain()["compacted"] == COMPACT_MIN_LOOSE
+        assert store.stats()["compactions"] == 1
+
+    def test_gc_keeps_10k_key_store_under_budget(self, tmp_path):
+        budget = 256 * 1024
+        store = PersistentSummaryStore(str(tmp_path))
+        for i in range(10_000):
+            store.put(("key", i), {"summary": i, "payload": "x" * 32})
+            if i % 1000 == 999:  # the gateway's periodic maintenance
+                store.maintain(budget)
+        assert store.total_bytes() <= budget
+        stats = store.stats()
+        assert stats["compactions"] >= 1  # generations were packed...
+        assert stats["gc_evicted_files"] >= 1  # ...and the oldest evicted
+        # Whatever survived still reads back exactly.
+        alive = sum(
+            1 for i in range(10_000) if store.get(("key", i)) is not None
+        )
+        assert 0 < alive < 10_000
+
+    def test_warm_reanalysis_after_eviction_matches_cold(self, tmp_path):
+        # Evicting the whole store between runs must not change results:
+        # a store miss recomputes the byte-identical summaries.
+        from repro.lang import parse_source
+        from repro.service.frontend import Frontend
+        from repro.service.session import Session
+
+        chain = (
+            "proc leaf(x: list) returns (r: list) { r = x; }\n"
+            "proc mid(x: list) returns (r: list) { r = leaf(x); }\n"
+            "proc top(x: list) returns (r: list) { r = mid(x); }\n"
+            "proc other(x: list) returns (r: list) { r = x; }\n"
+        )
+        edited = chain.replace(
+            "{ r = x; }", "{ local t: int; r = x; t = 1; }", 1
+        )
+        store_dir = str(tmp_path / "store")
+        session = Session(
+            Frontend(parse_source(chain)), store_dir=store_dir, jobs=0
+        )
+        session.analyze(domains=("am",))
+        PersistentSummaryStore(store_dir).gc(max_bytes=0)  # evict everything
+        assert len(PersistentSummaryStore(store_dir)) == 0
+        session.update_source(edited)
+        warm = session.analyze(domains=("am",))
+        cold = Analyzer.from_source(edited).analyze_batch(
+            domains=("am",), jobs=0
+        )
+        cold_hashes = {
+            out.task_id: out.result.summary_hashes for out in cold.outcomes
+        }
+        warm_hashes = {
+            tid: out.summary_hashes for tid, out in warm.outputs.items()
+        }
+        assert warm_hashes == cold_hashes
+        session.close()
+
+    def test_cli_compacts_then_evicts_everything(self, tmp_path, capsys):
+        store = PersistentSummaryStore(str(tmp_path))
+        for i in range(5):
+            store.put(("k", i), {"v": i})
+        assert store_main([str(tmp_path), "--compact"]) == 0
+        assert "compacted: 5" in capsys.readouterr().out
+        assert store.loose_count() == 0 and store.packed_count() == 5
+        assert store_main(
+            [str(tmp_path), "--gc", "--max-bytes", "0", "--stats", "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["gc"] == {
+            "evicted_files": 1,
+            "evicted_bytes": report["gc"]["evicted_bytes"],
+            "bytes": 0,
+        }
+        assert report["stats"]["entries"] == 0
+        assert report["stats"]["gc_runs"] == 1
+        assert store_main([str(tmp_path / "missing")]) == 2
 
 
 # -- shard planning -------------------------------------------------------------
