@@ -617,7 +617,9 @@ class Engine:
         out.update(self.telemetry.report())
         out["scheduler"] = self.worklist.stats()
         if self.cache is not None:
-            out["cache"] = self.cache.stats()
+            # A persistent store's stats() also lists its directory, too
+            # slow to pay after every run; its counters() touch no file.
+            out["cache"] = getattr(self.cache, "counters", self.cache.stats)()
         from repro.numeric import simplex as _simplex
 
         lp_now = _simplex.cache_stats()

@@ -1,7 +1,7 @@
 """Differential validation of the optimized kernels against reference.
 
 The optimized hot-path kernels (``repro.kernels`` mode ``fast``: integer
-simplex with memo/warm-start caches, join/minimize memoization, shared
+simplex in slack space with its memo, join/minimize memoization, shared
 LP models, shape-signature prefilters) promise *representation identity*:
 for any program, the synthesized summaries must have canonical stable
 hashes bit-identical to the pure reference kernels.  This module holds

@@ -1,9 +1,9 @@
 """Kernel mode switch: optimized vs reference numeric/heap kernels.
 
-The cold-path speed program (fast integer simplex, warm-started
-entailment, incremental canonicalization, heap-set join pre-filters)
-keeps every optimized kernel behind this switch, paired with the
-original reference implementation.  The contract is *representation
+The cold-path speed program (fast integer simplex in slack space,
+memoized entailment, incremental canonicalization, heap-set join
+pre-filters) keeps every optimized kernel behind this switch, paired
+with the original reference implementation.  The contract is *representation
 identity*: with the same inputs, the fast and reference paths must
 produce summaries whose canonical stable hashes are bit-identical —
 the fuzz lane (``python -m repro.fuzz --check-kernels``) and the

@@ -6,7 +6,8 @@ Feasibility, entailment and redundancy checks over
 
 - the reference: a two-phase primal simplex over a dense tableau of
   :class:`fractions.Fraction` entries, with Bland's anti-cycling rule;
-- its fast-kernel twin over integer rows, memoized and warm-started
+- its fast-kernel twin over integer rows, which pivots the free
+  variables out once and runs the two phases over the slacks alone
   (the optimum is unique, so both give the same answers);
 - a float pre-pass through scipy's compiled HiGHS solver for boolean
   queries on systems above ``_INT_DIRECT_MAX`` constraints (on every
@@ -188,14 +189,8 @@ def _simplex_phase(
 # separate key component.
 _SOLVE_CACHE = kernels.memo(200_000)
 
-# Warm-start snapshots of the fast integer simplex: for a constraint
-# system already driven through phase 1, later queries over the same
-# system (new objective) restart at phase 2, and queries that add one
-# constraint re-enter phase 1 with a single artificial row instead of m.
-# Its hits are the phase-2 restarts and its lookups the integer solves;
-# ``_try_incremental`` peeks, so it counts in neither.
-_BASIS_CACHE = kernels.memo(20_000)
-_incremental_reuses = _int_fallbacks = 0
+# Fast exact solves and their blowup aborts (see ``_solve_lp_int``).
+_int_solves = _int_fallbacks = 0
 
 # Integer tableau entries past this bit-length abort the fast solver in
 # favour of the exact-Fraction reference ("overflow risk" for the fast
@@ -204,34 +199,35 @@ _incremental_reuses = _int_fallbacks = 0
 _INT_BLOWUP_BITS = 2048
 
 # Up to this many constraints, fast-kernel mode answers boolean queries
-# with the (memoized, warm-started) integer simplex directly: HiGHS
-# model-build overhead dominates sub-millisecond problems, and the same
-# small systems recur across entailment sweeps where the basis cache
-# pays off.  Larger systems keep the float pre-pass.
+# with the (memoized) integer simplex directly: HiGHS model-build
+# overhead dominates sub-millisecond problems, and after phase 0 a system
+# this small leaves the exact simplex only a few slack rows to pivot.
+# Larger systems keep the float pre-pass.
 _INT_DIRECT_MAX = 20
 
 
 def cache_stats() -> dict:
     """Hit/miss counters of the exact-LP memo (cumulative per process);
-    the engine reports per-run deltas in its ``stats()['lp_cache']``."""
+    the engine reports per-run deltas in its ``stats()['lp_cache']``.
+    Nothing reuses a simplex basis any more: the two ``basis_*`` keys
+    read 0 and stay for readers of the full counter set."""
     return {
         "solve_hits": _SOLVE_CACHE.hits,
         "solve_misses": _SOLVE_CACHE.misses,
         "solve_entries": len(_SOLVE_CACHE),
         "entails_entries": len(_ENTAILS_CACHE),
-        "basis_phase2_reuse": _BASIS_CACHE.hits,
-        "basis_incremental_reuse": _incremental_reuses,
-        "int_solves": _BASIS_CACHE.hits + _BASIS_CACHE.misses,
+        "basis_phase2_reuse": 0,
+        "basis_incremental_reuse": 0,
+        "int_solves": _int_solves,
         "int_fallbacks": _int_fallbacks,
     }
 
 
 def clear_caches() -> None:
-    global _incremental_reuses, _int_fallbacks
+    global _int_solves, _int_fallbacks
     _SOLVE_CACHE.clear()
     _ENTAILS_CACHE.clear()
-    _BASIS_CACHE.clear()
-    _incremental_reuses = _int_fallbacks = 0
+    _int_solves = _int_fallbacks = 0
 
 
 def solve_lp(
@@ -241,11 +237,13 @@ def solve_lp(
 ) -> LPResult:
     """Minimize (or maximize) ``objective`` subject to ``constraints``.
 
-    Variables are free; internally every free variable ``x`` is split into
-    ``x+ - x-`` with both parts non-negative, inequalities get slack
-    variables, and a two-phase simplex with artificial variables decides
-    feasibility and optimizes.  Results are memoized on the canonical
-    constraint system (see ``_SOLVE_CACHE``).
+    Variables are free.  The reference splits every free variable ``x``
+    into ``x+ - x-`` with both parts non-negative; the fast kernel
+    pivots the free variables out first and solves over the slacks (see
+    ``_solve_lp_int``).  Inequalities get slack variables, and a two-phase
+    simplex with artificial variables decides feasibility and optimizes.
+    Results are memoized on the canonical constraint system (see
+    ``_SOLVE_CACHE``).
     """
     global _int_fallbacks
     cons = [c for c in constraints if not c.is_trivial()]
@@ -265,7 +263,7 @@ def solve_lp(
         return cached
     result = None
     if kernels.FAST:
-        result = _solve_lp_int(cons, objective, maximize, sys_key)
+        result = _solve_lp_int(cons, objective, maximize)
         if result is None:
             _int_fallbacks += 1
     if result is None:
@@ -365,21 +363,24 @@ def _solve_lp_uncached(
 
 # -- fast integer simplex ----------------------------------------------------
 #
-# The optimized twin of ``_solve_lp_uncached``: the same two-phase primal
-# simplex over the same column layout, but with each tableau row held as
-# integer numerators over one positive integer denominator.  A pivot is
-# then pure integer arithmetic (one gcd pass per touched row instead of a
-# gcd inside every Fraction operation), which measures several times
-# faster at this scale.  The optimum of an LP is unique, so results are
-# bit-identical to the reference path by construction; status flags are
-# properties of the problem, not of the pivot order.
+# The optimized twin of ``_solve_lp_uncached``, solved in slack space.
+# Free variables stay whole instead of splitting into x+ - x-: phase 0
+# pivots each free variable into the basis once, equality rows first, so
+# that its row becomes the variable's definition and is substituted out
+# of every later row and of the objective.  An equality row left with no
+# free variable is empty: contradictory or redundant.  What remains is a
+# standard-form LP over the nonnegative slacks of the inequality rows no
+# free variable took, usually a few rows and columns, which the same
+# two-phase primal simplex as the reference solves.  A free variable that
+# no row took but the objective still mentions makes the LP unbounded,
+# which is reported only once phase 1 has shown the system feasible.
 #
-# On top of the raw solver sits a warm-start cache (``_BASIS_CACHE``):
-# the post-phase-1 tableau of each solved constraint system is kept so
-# that (a) a later query over the *same* system with a different
-# objective runs phase 2 only, and (b) a query over the system plus
-# exactly one new constraint re-enters phase 1 with a single appended
-# row/artificial rather than re-solving all m rows from scratch.
+# Each tableau row is held as integer numerators over one positive
+# integer denominator, so a pivot is pure integer arithmetic (one gcd
+# pass per touched row instead of a gcd inside every Fraction
+# operation).  The optimum of an LP is unique, so statuses and values
+# equal the reference's by construction; they are properties of the
+# problem, not of the pivot order.
 
 
 def _row_gcd_reduce(nums, den):
@@ -426,7 +427,7 @@ def _phase_int(rows, dens, basis, cost, allowed):
     Returns None when tableau denominators blow past the bit-length
     guard -- the caller falls back to the exact-Fraction reference.
     """
-    num_cols = len(rows[0]) - 1
+    num_cols = len(cost)
     m = len(rows)
     while True:
         # Reduced costs scaled by the lcm of the active basic-row
@@ -479,286 +480,136 @@ def _phase_int(rows, dens, basis, cost, allowed):
             return None
 
 
-def _int_row(c, index, n_free, width):
-    """One constraint as an integer x+/x- row: (row ints, rhs int)."""
-    lcm = c.expr.const.denominator
-    for k in c.expr.coeffs.values():
+def _int_row(expr, index, width):
+    """``expr`` times the lcm of its denominators, as a ``width``-cell
+    integer row: coefficients at their ``index`` columns, minus the
+    constant in the last cell (``expr >= 0  <=>  sum coeffs*x >= -const``,
+    as in the reference).  Returns the row and the lcm."""
+    lcm = expr.const.denominator
+    for k in expr.coeffs.values():
         d = k.denominator
         lcm = lcm * d // gcd(lcm, d)
     row = [0] * width
-    for var, k in c.expr.coeffs.items():
-        ik = int(k * lcm)
-        j = index[var]
-        row[j] = ik
-        row[n_free + j] = -ik
-    # expr >= 0  <=>  sum coeffs*x >= -const  (matches the reference)
-    return row, -int(c.expr.const * lcm)
+    for var, k in expr.coeffs.items():
+        row[index[var]] = k.numerator * (lcm // k.denominator)
+    const = expr.const
+    row[-1] = -const.numerator * (lcm // const.denominator)
+    return row, lcm
 
 
-def _snapshot(rows, dens, basis, variables, art_cols):
-    return (
-        [list(r) for r in rows],
-        list(dens),
-        list(basis),
-        variables,
-        art_cols,
-    )
-
-
-def _store_basis(sys_key, rows, dens, basis, variables, art_cols):
-    _BASIS_CACHE.put(sys_key, _snapshot(
-        rows, dens, basis, tuple(variables), frozenset(art_cols)
-    ))
-
-
-_INFEASIBLE_MARK = object()
-
-
-def _solve_lp_int(cons, objective, maximize, sys_key):
+def _solve_lp_int(cons, objective, maximize):
     """Fast-path exact solve; None means "fall back to the reference"."""
-    state = _BASIS_CACHE.get(sys_key)
-    if state is not None:
-        rows, dens, basis, variables, art_cols = _snapshot(*state)
-        if not objective.support() <= set(variables):
-            # Feasible system (phase 1 succeeded) with an objective term
-            # it does not constrain: unbounded in that free direction.
-            return LPResult(UNBOUNDED)
-        return _phase2_int(rows, dens, basis, variables, art_cols,
-                           objective, maximize)
-    if len(cons) >= 2 and len(sys_key) == len(cons):
-        grown = _try_incremental(cons, sys_key)
-        if grown is _INFEASIBLE_MARK:
-            return LPResult(INFEASIBLE)
-        if grown is not None:
-            rows, dens, basis, variables, art_cols = grown
-            _store_basis(sys_key, rows, dens, basis, variables, art_cols)
-            if not objective.support() <= set(variables):
-                return LPResult(UNBOUNDED)
-            return _phase2_int(rows, dens, basis, variables, art_cols,
-                               objective, maximize)
+    global _int_solves
+    _int_solves += 1
+    variables = sorted(set().union(objective.support(), *[c.support() for c in cons]))
+    n = len(variables)
+    index = {v: j for j, v in enumerate(variables)}
+    ineqs = [c for c in cons if c.rel == GE]
+    n_slack = len(ineqs)
+    width = n + n_slack + 1
+    # Phase-0 rows ``[free | slacks | rhs]``: equalities ``a.x = b``
+    # first, then inequalities ``a.x - s = b``; each carries its slack's
+    # column, or -1 for an equality.
+    pending = [(_int_row(c.expr, index, width)[0], 1, -1) for c in cons if c.rel == EQ]
+    for i, c in enumerate(ineqs):
+        row = _int_row(c.expr, index, width)[0]
+        row[n + i] = -1
+        pending.append((row, 1, n + i))
+    # The objective row: substitutions move constants into its last cell
+    # (minus their sum, like a constraint's rhs).
+    obj, obj_scale = _int_row(objective, index, width)
+    obj[-1] = 0
+    obj_den = 1
 
-    variables = tuple(sorted(
-        set().union(*[c.support() for c in cons], objective.support())
-        or set()
-    ))
-    n_free = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    m = len(cons)
-    if m == 0:
-        if objective.coeffs:
-            return LPResult(UNBOUNDED)
-        return LPResult(OPTIMAL, objective.const)
-    n_slack = sum(1 for c in cons if c.rel == GE)
-    art_lo = 2 * n_free + n_slack
-    # A GE row ``row.x - s = rhs`` with rhs <= 0 can be negated to seat
-    # its slack directly in the starting basis (``-row.x + s = -rhs``),
-    # so only EQ rows and GE rows with rhs > 0 need an artificial --
-    # phase 1 then starts with a much smaller infeasibility objective.
-    raw = []
-    n_art = 0
-    for c in cons:
-        row, rhs = _int_row(c, index, n_free, art_lo + 1)
-        needs_art = c.rel == EQ or rhs > 0
-        raw.append((c, row, rhs, needs_art))
-        if needs_art:
-            n_art += 1
-    n_cols = art_lo + n_art
+    kept = []  # (row, den, slack column) of inequalities no free variable took
+    for at, (prow, pden, slack) in enumerate(pending):
+        col = next((j for j in range(n) if prow[j]), -1)
+        if col < 0:
+            # No free variable left: an equality row is empty here (its
+            # rhs decides), an inequality row constrains the slacks.
+            if slack >= 0:
+                kept.append((prow, pden, slack))
+            elif prow[-1]:
+                return LPResult(INFEASIBLE)
+            continue
+        pn = prow[col]
+        if pn < 0:
+            prow = [-x for x in prow]
+            pn = -pn
+        # Substitute the free variable out of the later rows and the
+        # objective: ``row - row[col]/pn * prow`` over one denominator.
+        for later in range(at + 1, len(pending)):
+            row, den, s = pending[later]
+            factor = row[col]
+            if factor:
+                row, den = _row_gcd_reduce(
+                    [a * pn - factor * b for a, b in zip(row, prow)], den * pn)
+                if den.bit_length() > _INT_BLOWUP_BITS:
+                    return None
+                pending[later] = (row, den, s)
+        factor = obj[col]
+        if factor:
+            obj, obj_den = _row_gcd_reduce(
+                [a * pn - factor * b for a, b in zip(obj, prow)], obj_den * pn)
+
+    # Phase 1 over ``[slacks | artificials | rhs]``.  A kept row
+    # ``sum a_k s_k - s = b`` with b <= 0 is negated to seat its own slack
+    # in the starting basis; only rows with b > 0 need an artificial.
+    n_art = sum(1 for row, _, _ in kept if row[-1] > 0)
+    n_cols = n_slack + n_art
     rows, dens, basis = [], [], []
-    slack_i = 0
-    art_i = 0
-    for c, row, rhs, needs_art in raw:
-        row = row[:-1] + [0] * n_art + [0]
-        if needs_art:
-            if rhs < 0:  # only EQ rows land here; normalize the sign
-                row = [-x for x in row]
-                rhs = -rhs
-            elif c.rel == GE:  # rhs > 0: slack enters with -1, not basic
-                row[2 * n_free + slack_i] = -1
-                slack_i += 1
-            row[art_lo + art_i] = 1
-            basis.append(art_lo + art_i)
-            art_i += 1
-        else:  # GE with rhs <= 0: negate, slack is basic
+    art = n_slack
+    for row, den, slack in kept:
+        row = row[n:-1] + [0] * n_art + row[-1:]
+        if row[-1] > 0:
+            row[art] = den  # the artificial's coefficient is exactly 1
+            basis.append(art)
+            art += 1
+        else:
             row = [-x for x in row]
-            rhs = -rhs
-            row[2 * n_free + slack_i] = 1
-            basis.append(2 * n_free + slack_i)
-            slack_i += 1
-        row[-1] = rhs
+            basis.append(slack - n)
         rows.append(row)
-        dens.append(1)
-
-    art_cols = frozenset(range(art_lo, n_cols))
+        dens.append(den)
     if n_art:
-        phase1_cost = [0] * n_cols
-        for j in range(art_lo, n_cols):
-            phase1_cost[j] = 1
-        status = _phase_int(rows, dens, basis, phase1_cost, [True] * n_cols)
+        cost = [0] * n_slack + [1] * n_art
+        status = _phase_int(rows, dens, basis, cost, [True] * n_cols)
         if status is None:
             return None
         assert status == OPTIMAL  # bounded below by 0
-        if any(rows[r][-1] for r in range(m) if basis[r] in art_cols):
+        if any(row[-1] for row, b in zip(rows, basis) if b >= n_slack):
             return LPResult(INFEASIBLE)
-    _drive_out_artificials(rows, dens, basis, art_cols)
-    _store_basis(sys_key, rows, dens, basis, variables, art_cols)
-    return _phase2_int(rows, dens, basis, variables, art_cols,
-                       objective, maximize)
+        _drive_out_artificials(rows, dens, basis, n_slack)
+    if any(obj[:n]):
+        return LPResult(UNBOUNDED)  # a free direction the rows leave open
 
-
-def _drive_out_artificials(rows, dens, basis, art_cols):
-    for r in range(len(rows)):
-        if basis[r] in art_cols:
-            for j in range(len(rows[0]) - 1):
-                if j not in art_cols and rows[r][j]:
-                    _pivot_int(rows, dens, basis, r, j)
-                    break
-
-
-def _try_incremental(cons, sys_key):
-    """Warm-start from a cached basis of ``cons`` minus one constraint.
-
-    Returns a grown working tableau, ``_INFEASIBLE_MARK`` when the added
-    constraint contradicts the cached system, or None when no one-smaller
-    system is cached (or the warm start cannot apply).
-    """
-    global _incremental_reuses
-    for added in cons:
-        smaller = sys_key - {added.key()}
-        if len(smaller) != len(sys_key) - 1:
-            continue  # duplicate keys; ambiguous removal
-        state = _BASIS_CACHE.peek(smaller)
-        if state is None:
-            continue
-        rows, dens, basis, variables, art_cols = _snapshot(*state)
-        if not added.support() <= set(variables):
-            continue  # new columns needed; fall back to a fresh solve
-        grown = _append_row(rows, dens, basis, variables, art_cols, added)
-        if grown is _INFEASIBLE_MARK:
-            return _INFEASIBLE_MARK
-        if grown is not None:
-            _incremental_reuses += 1
-            return grown
-    return None
-
-
-def _append_row(rows, dens, basis, variables, art_cols, added):
-    """Add one constraint row to a phase-1-complete tableau.
-
-    The row enters with its own slack column (GE); if the current vertex
-    already satisfies the constraint the slack is basic and no pivoting
-    happens, otherwise one artificial column and a one-row phase 1
-    restore feasibility.
-    """
-    n_free = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    old_cols = len(rows[0]) - 1
-    raw, rhs = _int_row(added, index, n_free, old_cols)
-    # Layout: [old columns][slack][artificial][rhs]
-    slack_col = old_cols
-    art_col = old_cols + 1
-    new = raw + [0, 0, rhs]
-    if added.rel == GE:
-        new[slack_col] = -1
-    den = 1
-    # Reduce against the basis so basic columns read zero; each basic
-    # column lives in exactly one row, so one pass suffices.
-    for r in range(len(rows)):
-        factor = new[basis[r]]
-        if factor == 0:
-            continue
-        rrow = rows[r]
-        rden = dens[r]
-        merged = [
-            a * rden - factor * b
-            for a, b in zip(new[:old_cols], rrow[:old_cols])
-        ]
-        new = merged + [
-            new[slack_col] * rden,
-            new[art_col] * rden,
-            new[-1] * rden - factor * rrow[-1],
-        ]
-        den *= rden
-    new, den = _row_gcd_reduce(new, den)
-    if not any(new[j] for j in range(len(new) - 1)):
-        if new[-1] != 0:
-            return _INFEASIBLE_MARK
-        return None  # redundant row: adding nothing; use a fresh solve
-    grown_rows = [r[:old_cols] + [0, 0, r[-1]] for r in rows]
-    grown_dens = list(dens)
-    grown_basis = list(basis)
-    if added.rel == GE and new[-1] <= 0:
-        # Vertex satisfies the constraint: slack value -rhs/den >= 0.
-        # Flip so the slack coefficient is positive, then normalize its
-        # value to exactly 1 by taking it as the row denominator.
-        flipped = [-x for x in new]
-        k = flipped[slack_col]
-        assert k > 0
-        flipped, fden = _row_gcd_reduce(flipped, k)
-        grown_rows.append(flipped)
-        grown_dens.append(fden)
-        grown_basis.append(slack_col)
-        return (grown_rows, grown_dens, grown_basis, variables, art_cols)
-    # General case: flip for a non-negative rhs, seat an artificial.
-    if new[-1] < 0:
-        new = [-x for x in new]
-    new[art_col] = den  # artificial value exactly 1
-    grown_rows.append(new)
-    grown_dens.append(den)
-    grown_basis.append(art_col)
-    new_art_cols = frozenset(art_cols) | {art_col}
-    n_cols = len(grown_rows[0]) - 1
-    cost = [0] * n_cols
-    cost[art_col] = 1
-    allowed = [j not in new_art_cols for j in range(n_cols)]
-    status = _phase_int(grown_rows, grown_dens, grown_basis, cost, allowed)
-    if status is None or status == UNBOUNDED:
-        return None  # blowup (or impossible unbounded phase 1): fresh solve
-    for r in range(len(grown_rows)):
-        if grown_basis[r] == art_col and grown_rows[r][-1]:
-            return _INFEASIBLE_MARK
-    _drive_out_artificials(grown_rows, grown_dens, grown_basis, {art_col})
-    return (grown_rows, grown_dens, grown_basis, variables, new_art_cols)
-
-
-def _phase2_int(rows, dens, basis, variables, art_cols, objective, maximize):
-    """Phase 2 from a feasible basis; exact optimum as an LPResult."""
-    n_free = len(variables)
-    var_index = {v: i for i, v in enumerate(variables)}
-    n_cols = len(rows[0]) - 1
+    # Phase 2 over the slacks; artificials may not re-enter.
     sense = -1 if maximize else 1
-    # Scale the objective to integers (a positive factor: pivot choices
-    # and optimality tests are invariant; the value is recomputed exactly
-    # from the final assignment below).
-    lcm = 1
-    for k in objective.coeffs.values():
-        d = k.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    cost = [0] * n_cols
-    for var, j in var_index.items():
-        k = objective.coeffs.get(var)
-        if k:
-            ik = int(k * lcm) * sense
-            cost[j] = ik
-            cost[n_free + j] = -ik
-    allowed = [j not in art_cols for j in range(n_cols)]
-    status = _phase_int(rows, dens, basis, cost, allowed)
+    cost = [sense * k for k in obj[n:-1]] + [0] * n_art
+    status = _phase_int(rows, dens, basis, cost, [j < n_slack for j in range(n_cols)])
     if status is None:
         return None
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
+    # objective = const + (sum obj_k s_k - obj[-1]) / (obj_den * obj_scale)
+    total = Fraction(-obj[-1])
+    for row, den, b in zip(rows, dens, basis):
+        if b < n_slack and obj[n + b] and row[-1]:
+            total += obj[n + b] * Fraction(row[-1], den)
     value = objective.const
-    assignment = {}
-    for r, var in enumerate(basis):
-        if rows[r][-1]:
-            assignment[var] = Fraction(rows[r][-1], dens[r])
-    zero = Fraction(0)
-    for var, j in var_index.items():
-        k = objective.coeffs.get(var)
-        if k:
-            value += k * (
-                assignment.get(j, zero) - assignment.get(n_free + j, zero)
-            )
+    if total:
+        value += total / (obj_den * obj_scale)
     return LPResult(OPTIMAL, value)
+
+
+def _drive_out_artificials(rows, dens, basis, first_art):
+    """Pivot each zero-valued basic artificial (column ``first_art`` on)
+    out for a real column of its row; a row with none is redundant."""
+    for r in range(len(rows)):
+        if basis[r] >= first_art:
+            for j in range(first_art):
+                if rows[r][j]:
+                    _pivot_int(rows, dens, basis, r, j)
+                    break
 
 
 def _highs_solve(
@@ -843,7 +694,7 @@ def _highs_outcome(
     if status != statuses.kOptimal:
         # kUnboundedOrInfeasible among others: the exact simplex decides.
         return None
-    return (OPTIMAL, sense * solver.getInfo().objective_function_value + offset)
+    return (OPTIMAL, sense * solver.getObjectiveValue() + offset)
 
 
 def _float_lp(
@@ -972,8 +823,8 @@ def _min_nonnegative(constraints: Sequence[Constraint], expr: LinExpr) -> bool:
     Uses the float LP when its verdict has a clear margin; ambiguous
     results fall back to the exact simplex.  Small systems in fast-kernel
     mode skip the float pass entirely: the exact integer simplex (with
-    its memo and warm-start caches) beats the HiGHS per-call overhead
-    there, and its verdicts need no margin handling.
+    its memo) beats the HiGHS per-call overhead there, and its verdicts
+    need no margin handling.
     """
     if not (kernels.FAST and len(constraints) <= _INT_DIRECT_MAX):
         verdict = _margin_verdict(_float_lp(constraints, expr, maximize=False))

@@ -40,7 +40,6 @@ from repro.parallel.batch import (
 )
 from repro.parallel.pool import PoolTask, TaskOutcome, WorkerPool
 from repro.parallel.shard import Shard, ShardPlan, plan_shards
-from repro.parallel.store import PersistentSummaryStore, schema_fingerprint
 
 __all__ = [
     "AnalysisOutput",
@@ -58,3 +57,13 @@ __all__ = [
     "run_batch",
     "schema_fingerprint",
 ]
+
+
+def __getattr__(name):
+    """The store's names load on first use, so that ``python -m
+    repro.parallel.store`` runs a module the package has not imported."""
+    if name in ("PersistentSummaryStore", "schema_fingerprint"):
+        from repro.parallel import store
+
+        return getattr(store, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

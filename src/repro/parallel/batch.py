@@ -84,10 +84,10 @@ def run_analysis_request(request: AnalysisRequest) -> AnalysisOutput:
     from repro.core.api import Analyzer  # deferred: workers may be spawned
     from repro.parallel.store import PersistentSummaryStore
 
-    cache = None
+    store = None
     analyzer = Analyzer(request.program)
     if request.store_dir is not None:
-        cache = PersistentSummaryStore(request.store_dir)
+        store = cache = PersistentSummaryStore(request.store_dir)
         if request.key_mode == "cone":
             from repro.service.depindex import ConeKeyedStore, DependencyIndex
 
@@ -129,8 +129,9 @@ def run_analysis_request(request: AnalysisRequest) -> AnalysisOutput:
         )
         if key in result.stats
     }
-    if cache is not None:
-        stats["store"] = cache.stats()
+    if store is not None:
+        # The counters only: ``stats()`` would list the whole store.
+        stats["store"] = store.counters()
     return AnalysisOutput(
         proc=request.proc,
         domain=request.domain,

@@ -452,6 +452,8 @@ class PersistentSummaryStore:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, Any]:
+        """The counters plus the directory's size, which lists the store
+        and stats every loose file and pack."""
         loose = self._loose_paths()
         packed = self.packed_count()
         packs = self._pack_files  # the listing the index was checked against
@@ -461,6 +463,12 @@ class PersistentSummaryStore:
             "packed": packed,
             "packs": len(packs),
             "bytes": sum(map(_size, loose + packs)),
+            **self.counters(),
+        }
+
+    def counters(self) -> Dict[str, Any]:
+        """This instance's in-memory counters; touches no file."""
+        return {
             "hits": self.hits,
             "pack_hits": self.pack_hits,
             "misses": self.misses,

@@ -195,3 +195,6 @@ class ConeKeyedStore:
 
     def stats(self) -> Dict[str, Any]:
         return self.store.stats()
+
+    def counters(self) -> Dict[str, Any]:
+        return self.store.counters()

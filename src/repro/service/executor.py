@@ -19,11 +19,12 @@ so it runs on any executor thread:
   worker entry points.
 
 Jobs that run outside a session go through
-:meth:`VerbExecutor.run_isolated`: inline when ``jobs == 0`` (test
-mode), else in one fault-isolated process of the
-:class:`~repro.parallel.pool.WorkerPool`, so a SIGKILLed worker or a
-hard budget kill becomes a structured error on that one request while
-the server, its sessions and the store stay intact.
+:meth:`VerbExecutor.run_isolated`: one task of a
+:class:`~repro.parallel.pool.WorkerPool`, inline when ``jobs == 0``
+(test mode), else in one fault-isolated process, so an exception, a
+SIGKILLed worker or a budget kill becomes the same structured error on
+that one request while the server, its sessions and the store stay
+intact.
 """
 
 from __future__ import annotations
@@ -159,16 +160,15 @@ class VerbExecutor:
     ) -> Tuple[Any, Dict[str, Any]]:
         """``fn(payload)`` and its isolation telemetry.  With ``jobs >=
         1`` it runs in one worker process whose hard SIGTERM/SIGKILL
-        backstop fires at ``budget + hard_grace``; a run that does not
-        finish ``ok`` raises :class:`IsolatedTaskError`."""
-        if self.jobs == 0:
-            return fn(payload), {"isolation": "inline"}
-        pool = WorkerPool(jobs=1, hard_grace=self.hard_grace)
+        backstop fires at ``budget + hard_grace``; with ``jobs == 0`` it
+        runs inline through the same pool status mapping.  A run that
+        does not finish ``ok`` raises :class:`IsolatedTaskError`."""
+        pool = WorkerPool(jobs=min(self.jobs, 1), hard_grace=self.hard_grace)
         (outcome,) = pool.run(
             [PoolTask(task_id="job", fn=fn, args=(payload,), budget=budget)]
         )
         telemetry = {
-            "isolation": "pool",
+            "isolation": "pool" if self.jobs else "inline",
             "wall_s": round(outcome.wall_time, 6),
             "retries": outcome.retries,
         }

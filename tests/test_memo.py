@@ -1,8 +1,7 @@
 """The bounded LRU memo behind every kernel memo and in-process cache.
 
 ``kernels.LRUMemo`` is the one LRU implementation: the LP, entailment,
-warm-start basis, join, ``minimized()`` and guard memos are registered
-instances (``kernels.memo``), and the run-level ``SummaryCache`` and
+join, ``minimized()`` and guard memos are registered instances (``kernels.memo``), and the run-level ``SummaryCache`` and
 the serving tier's frontend and finding caches hold one each.
 """
 

@@ -1,5 +1,5 @@
-"""Unit tests for the simplex solvers: exact, integer and the HiGHS
-float pre-pass."""
+"""Unit tests for the simplex solvers: the Fraction reference, the
+integer simplex in slack space and the HiGHS float pre-pass."""
 
 import importlib.util
 import os
@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -98,19 +99,128 @@ class TestSolveLP:
 
     def test_degenerate_cycling_guard(self):
         # A classically degenerate problem; Bland's rule must terminate.
-        cons = [
-            Constraint.le(v("x1").scale(Fraction(1, 4)) - v("x2").scale(60) - v("x3").scale(Fraction(1, 25)) + v("x4").scale(9), 0),
-            Constraint.le(v("x1").scale(Fraction(1, 2)) - v("x2").scale(90) - v("x3").scale(Fraction(1, 50)) + v("x4").scale(3), 0),
-            Constraint.le(v("x3"), 1),
-            Constraint.ge(v("x1"), 0),
-            Constraint.ge(v("x2"), 0),
-            Constraint.ge(v("x3"), 0),
-            Constraint.ge(v("x4"), 0),
-        ]
-        obj = v("x1").scale(Fraction(-3, 4)) + v("x2").scale(150) - v("x3").scale(Fraction(1, 50)) + v("x4").scale(6)
-        res = solve_lp(cons, obj)
+        res = solve_lp(*_cycling_lp())
         assert res.status == OPTIMAL
         assert res.value == Fraction(-1, 20)
+
+
+def _cycling_lp():
+    cons = [
+        Constraint.le(v("x1").scale(Fraction(1, 4)) - v("x2").scale(60) - v("x3").scale(Fraction(1, 25)) + v("x4").scale(9), 0),
+        Constraint.le(v("x1").scale(Fraction(1, 2)) - v("x2").scale(90) - v("x3").scale(Fraction(1, 50)) + v("x4").scale(3), 0),
+        Constraint.le(v("x3"), 1),
+        Constraint.ge(v("x1"), 0),
+        Constraint.ge(v("x2"), 0),
+        Constraint.ge(v("x3"), 0),
+        Constraint.ge(v("x4"), 0),
+    ]
+    obj = v("x1").scale(Fraction(-3, 4)) + v("x2").scale(150) - v("x3").scale(Fraction(1, 50)) + v("x4").scale(6)
+    return cons, obj
+
+
+def _random_lp(rng):
+    """A small LP shaped like the analysis's: equalities (non-unit
+    coefficients, sometimes a rank-deficient or contradictory extra
+    one), inequalities that hold at a rational point, box bounds on
+    about half the systems, and an objective that may mention a
+    variable no constraint does.  Empty systems occur too."""
+    names = [f"x{i}" for i in range(rng.randint(1, 6))]
+    point = {n: Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for n in names}
+
+    def expr(size):
+        picked = rng.sample(names, min(size, len(names)))
+        return LinExpr({
+            n: Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 1, 1, 2, 3]))
+            for n in picked
+        })
+
+    cons = []
+    eqs = [expr(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    for e in eqs:
+        cons.append(Constraint.eq(e, e.evaluate(point)))
+    if len(eqs) >= 2 and rng.random() < 0.4:
+        e = eqs[0].scale(rng.choice([2, -3])) + eqs[1].scale(rng.choice([1, Fraction(1, 2)]))
+        cons.append(Constraint.eq(e, e.evaluate(point) + rng.choice([0, 0, 1])))
+    for _ in range(rng.randint(0, 6)):
+        e = expr(rng.randint(1, 3))
+        cons.append(Constraint.ge(e, e.evaluate(point) - rng.randint(0, 4)))
+    if rng.random() < 0.5:
+        for n in names:
+            cons.append(Constraint.ge(v(n), point[n] - rng.randint(0, 3)))
+            cons.append(Constraint.le(v(n), point[n] + rng.randint(0, 3)))
+    if rng.random() < 0.1:
+        e = expr(2)
+        cons.append(Constraint.ge(e, e.evaluate(point) + 1))
+        cons.append(Constraint.le(e, e.evaluate(point)))
+    objective = expr(rng.randint(0, 3)) + Fraction(rng.randint(-6, 6), rng.choice([1, 2]))
+    if rng.random() < 0.2:
+        objective = objective + v("unmentioned").scale(rng.choice([-1, 2]))
+    return cons, objective, rng.random() < 0.5
+
+
+class TestFastMatchesReference:
+    """The integer simplex in slack space against the Fraction reference
+    over x+/x- columns: equal status, value and repr on every system."""
+
+    @staticmethod
+    def _both(cons, objective, maximize):
+        cons = [c for c in cons if not c.is_trivial()]  # as solve_lp does
+        assert not any(c.is_contradiction() for c in cons)
+        fast = simplex._solve_lp_int(cons, objective, maximize)
+        ref = simplex._solve_lp_uncached(cons, objective, maximize)
+        assert fast is not None
+        assert (fast.status, fast.value, repr(fast)) == (ref.status, ref.value, repr(ref)), (
+            cons, objective, maximize)
+        return ref
+
+    def test_random_systems(self):
+        rng = random.Random(20110604)
+        seen = Counter()
+        for _ in range(400):
+            ref = self._both(*_random_lp(rng))
+            seen[ref.status] += 1
+            if ref.status == OPTIMAL and Fraction(ref.value).denominator != 1:
+                seen["fractional"] += 1
+        assert min(seen[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED, "fractional")) >= 20, seen
+
+    def test_edge_systems(self):
+        x, y, z = v("x"), v("y"), v("z")
+        cases = [
+            ([], LinExpr.const_expr(Fraction(7, 2))),  # empty system
+            ([], x),
+            ([Constraint.eq(x.scale(3) + y.scale(2), 1)], x + y),  # non-unit equality
+            ([Constraint.eq(x.scale(3) + y.scale(2), 1), Constraint.ge(y, 0), Constraint.ge(x, 0)], x - y),
+            # rank-deficient: the third equality is the sum of the first two
+            ([Constraint.eq(x + y, 2), Constraint.eq(y - z, 1), Constraint.eq(x + y.scale(2) - z, 3),
+              Constraint.ge(z, 0)], x),
+            # contradictory: the third equality contradicts the sum
+            ([Constraint.eq(x + y, 2), Constraint.eq(y - z, 1), Constraint.eq(x + y.scale(2) - z, 4)], x),
+            # an objective term no constraint mentions: unbounded only when feasible
+            ([Constraint.ge(x, 1), Constraint.le(x, 3)], x + z),
+            ([Constraint.ge(x, 1), Constraint.le(x, 0)], x + z),
+            ([Constraint.ge(x.scale(3), 1), Constraint.ge(y.scale(7) - x, 0)], x + y),  # fractional
+            _cycling_lp(),
+        ]
+        for cons, objective in cases:
+            for maximize in (False, True):
+                self._both(cons, objective, maximize)
+
+    def test_blowup_aborts_to_reference_and_counts(self, monkeypatch):
+        cons = [Constraint.eq(v("x").scale(2) + v("y"), 3), Constraint.ge(v("x") - v("y"), 0)]
+        with kernels.mode_ctx("fast"):
+            stats = simplex.cache_stats()
+            assert solve_lp(cons, v("x")).value == 1
+            after = simplex.cache_stats()
+            assert after["int_solves"] == stats["int_solves"] + 1
+            assert after["int_fallbacks"] == stats["int_fallbacks"]
+            monkeypatch.setattr(simplex, "_INT_BLOWUP_BITS", 0)
+            res = solve_lp(cons, v("y"), maximize=True)
+            after = simplex.cache_stats()
+            assert after["int_solves"] == stats["int_solves"] + 2
+            assert after["int_fallbacks"] == stats["int_fallbacks"] + 1
+            assert after["basis_phase2_reuse"] == after["basis_incremental_reuse"] == 0
+        assert simplex._solve_lp_int(cons, v("y"), True) is None
+        assert repr(res) == repr(simplex._solve_lp_uncached(cons, v("y"), True)) == "LPResult(optimal, 1)"
 
 
 class TestEntailsAndFeasibility:

@@ -19,6 +19,8 @@ Three layers:
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -429,6 +431,51 @@ class TestPersistentSummaryStore:
         assert report["stats"]["entries"] == 0
         assert report["stats"]["gc_runs"] == 1
         assert store_main([str(tmp_path / "missing")]) == 2
+
+    def test_module_cli_runs_without_warnings(self, tmp_path):
+        PersistentSummaryStore(str(tmp_path)).put(("k",), {"v": 1})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.parallel.store", str(tmp_path),
+             "--stats", "--json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["stats"]["entries"] == 1
+
+    @pytest.mark.parametrize("key_mode", ["program", "cone"])
+    def test_request_reports_counters_without_listing_the_store(
+        self, tmp_path, monkeypatch, key_mode
+    ):
+        from repro.lang import parse_source
+        from repro.parallel import AnalysisRequest, run_analysis_request
+
+        store_dir = str(tmp_path / "store")
+        request = AnalysisRequest(
+            task_id="id.am",
+            program=parse_source("proc id(x: list) returns (r: list) { r = x; }"),
+            proc="id",
+            domain="am",
+            store_dir=store_dir,
+            key_mode=key_mode,
+        )
+        listed = []
+        real_listdir = os.listdir
+
+        def spy(path="."):
+            listed.append(os.path.realpath(path))
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", spy)
+        cold = run_analysis_request(request)
+        warm = run_analysis_request(request)
+        assert os.path.realpath(store_dir) not in listed
+        assert cold.stats["store"]["stores"] >= 1
+        assert warm.stats["store"]["hits"] >= 1 and warm.stats["store"]["stores"] == 0
+        assert set(warm.stats["store"]) < set(PersistentSummaryStore(store_dir).stats())
 
 
 # -- shard planning -------------------------------------------------------------

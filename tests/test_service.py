@@ -550,6 +550,38 @@ class TestDaemon:
         parked.close()
 
 
+def _raises(request):
+    raise ValueError("intentional test failure")
+
+
+def _over_budget(request):
+    from repro.core.interproc import AnalysisBudgetExceeded
+
+    raise AnalysisBudgetExceeded("too slow", kind="wall_clock", limit=1)
+
+
+@pytest.mark.parametrize("job", [_raises, _over_budget])
+def test_inline_job_reply_matches_pool_reply(monkeypatch, job):
+    """A job that raises or runs out of budget gets the same structured
+    reply with ``jobs=0`` (inline) as in a worker process (``jobs=1``)."""
+    import repro.service.executor as executor_mod
+    from repro.engine.telemetry import Telemetry
+
+    monkeypatch.setattr(executor_mod, "run_assert_request", job)
+    replies = {}
+    for jobs in (0, 1):
+        executor = executor_mod.VerbExecutor(
+            None, Telemetry(), jobs=jobs, hard_grace=5.0, max_sessions=4
+        )
+        request = {"verb": "assert", "id": "r1", "source": ASSERT_SRC}
+        replies[jobs] = executor.execute(request, "assert", "t", None)
+    inline, pool = replies[0], replies[1]
+    assert inline.pop("telemetry")["isolation"] == "inline"
+    assert pool.pop("telemetry")["isolation"] == "pool"
+    assert inline == pool
+    assert inline["error"]["kind"] == ("failed" if job is _raises else "budget")
+
+
 class TestDaemonPoolIsolation:
     """Robustness with real worker processes (jobs=1)."""
 
