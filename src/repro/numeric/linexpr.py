@@ -57,6 +57,22 @@ class LinExpr:
 
     # -- constructors ----------------------------------------------------
 
+    @classmethod
+    def _of_ints(cls, coeffs: Dict[str, int], const: int) -> "LinExpr":
+        """Wrap a dict that is already zero-free and all ``int``, as is.
+
+        Skips the per-value coercion and the ``Mapping`` check of
+        ``__init__``; the caller hands over ``coeffs`` and must not
+        mutate it afterwards.
+        """
+        self = cls.__new__(cls)
+        self.coeffs = coeffs
+        self.const = const
+        self._hash = None
+        self._norm = None
+        self._support = None
+        return self
+
     @staticmethod
     def var(name: str) -> "LinExpr":
         """The expression consisting of the single term ``name``."""
@@ -169,7 +185,7 @@ class LinExpr:
             if g <= 1:
                 result = self
             else:
-                result = LinExpr(
+                result = LinExpr._of_ints(
                     {v: c.numerator // g for v, c in self.coeffs.items()},
                     self.const.numerator // g,
                 )

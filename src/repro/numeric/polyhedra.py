@@ -15,10 +15,11 @@ substitution.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import kernels
-from repro.numeric.linexpr import EQ, GE, Constraint, LinExpr
+from repro.numeric.linexpr import EQ, GE, Coeff, Constraint, LinExpr
 from repro.numeric import simplex
 
 _FM_BLOWUP_CAP = 600
@@ -54,20 +55,29 @@ def clear_caches() -> None:
     _MIN_CACHE.clear()
 
 
-def _direction_of(constraint: Constraint) -> Tuple[Tuple, Fraction]:
-    """Canonical (coefficient-direction key, effective constant).
+def _direction_of(constraint: Constraint) -> Tuple[Tuple, Coeff]:
+    """Canonical (coefficient-direction key, effective constant) of a
+    normalized GE constraint.
 
-    Two GE constraints with the same direction key are parallel; the one
+    The key is the primitive integer coefficient vector (the coefficients
+    divided by their gcd ``g``) and the effective constant is
+    ``const / g``.  Two GE constraints share a key exactly when their
+    coefficient vectors are positive multiples of each other, and the one
     with the smaller effective constant is the tighter.
     """
     if constraint._dir is not None:
         return constraint._dir
     expr = constraint.expr
-    items = sorted(expr.coeffs.items())
-    first = items[0][1]
-    scale = Fraction(1) / abs(first)
-    direction = tuple((v, k * scale) for v, k in items)
-    constraint._dir = (direction, expr.const * scale)
+    items = sorted((v, k.numerator) for v, k in expr.coeffs.items())
+    g = gcd(*[k for _, k in items])
+    const = expr.const.numerator
+    if g == 1:
+        constraint._dir = (tuple(items), const)
+    else:
+        constraint._dir = (
+            tuple((v, k // g) for v, k in items),
+            Fraction(const, g),
+        )
     return constraint._dir
 
 
@@ -303,16 +313,16 @@ class Polyhedron:
             # a.x + b >= 0 scaled onto (y, lam): a.y + b*lam >= 0
             coeffs = {aux[v]: k for v, k in c.expr.coeffs.items()}
             if c.expr.const != 0:
-                coeffs[lam] = coeffs.get(lam, Fraction(0)) + c.expr.const
+                coeffs[lam] = c.expr.const
             cons.append(Constraint(LinExpr(coeffs), c.rel))
         for c in other.constraints:
             # scaled onto (x - y, 1 - lam)
-            coeffs: Dict[str, Fraction] = {}
+            coeffs: Dict[str, Coeff] = {}
             for v, k in c.expr.coeffs.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) + k
-                coeffs[aux[v]] = coeffs.get(aux[v], Fraction(0)) - k
+                coeffs[v] = coeffs.get(v, 0) + k
+                coeffs[aux[v]] = coeffs.get(aux[v], 0) - k
             if c.expr.const != 0:
-                coeffs[lam] = coeffs.get(lam, Fraction(0)) - c.expr.const
+                coeffs[lam] = coeffs.get(lam, 0) - c.expr.const
             cons.append(Constraint(LinExpr(coeffs, c.expr.const), c.rel))
         cons.append(Constraint.ge(LinExpr.var(lam), 0))
         cons.append(Constraint.le(LinExpr.var(lam), 1))
@@ -321,7 +331,7 @@ class Polyhedron:
         result = combined._project_capped(eliminate, cap=48)
         if result is None:
             return None
-        return result.reduced()
+        return result.minimized()
 
     def _project_capped(
         self, variables: List[str], cap: int
@@ -351,7 +361,7 @@ class Polyhedron:
                     seen.add(k)
                     candidates.append(half)
         kept = [c for c in candidates if self.entails(c) and other.entails(c)]
-        return Polyhedron(_recover_equalities(kept)).reduced()
+        return Polyhedron(_recover_equalities(kept)).minimized()
 
     def widen(self, other: "Polyhedron") -> "Polyhedron":
         """Standard widening: drop constraints of self not entailed by other.
@@ -403,7 +413,7 @@ class Polyhedron:
             cons = _eliminate(cons, var)
             if cons is None:
                 return _BOTTOM
-        return Polyhedron(cons).reduced()
+        return Polyhedron(cons).minimized()
 
     def forget(self, variables: Iterable[str]) -> "Polyhedron":
         return self.project(variables)
@@ -420,13 +430,6 @@ class Polyhedron:
         fresh = var + "'$assign"
         with_def = self.meet_constraints([Constraint.eq(LinExpr.var(fresh), expr)])
         return with_def.project([var]).rename({fresh: var})
-
-    def reduced(self, threshold: int = 10) -> "Polyhedron":
-        """LP-minimize only when large (cheap parallel-dropping already
-        happened in the constructor)."""
-        if self._bottom is True or len(self.constraints) <= 1:
-            return self
-        return self.minimized()
 
     def minimized(self) -> "Polyhedron":
         """Drop semantically redundant constraints."""
@@ -478,20 +481,29 @@ class Polyhedron:
 
 
 def _eliminate(cons: List[Constraint], var: str) -> Optional[List[Constraint]]:
-    """Eliminate ``var`` from a constraint list; None signals bottom."""
+    """Eliminate ``var`` from a constraint list; None signals bottom.
+
+    Every constraint the elimination builds is a positive multiple of the
+    textbook one (substitution through ``var = -rest/a``, or the FM pair
+    ``p*(-kq) + q*kp``) in its primitive integer form, so parallel-family
+    choices, triviality and contradiction are those of the textbook
+    constraint.  Constraints without ``var`` pass through unchanged.
+    """
     # Prefer substitution through an equality involving var.
     for i, c in enumerate(cons):
         if c.rel == EQ and var in c.expr.coeffs:
             a = c.expr.coeffs[var]
-            rest = LinExpr(
-                {v: k for v, k in c.expr.coeffs.items() if v != var}, c.expr.const
-            )
-            replacement = rest.scale(Fraction(-1) / a)
+            scale, sign = (a, -1) if a > 0 else (-a, 1)
             out = []
             for j, d in enumerate(cons):
                 if j == i:
                     continue
-                sub = d.substitute({var: replacement})
+                k = d.expr.coeffs.get(var)
+                if k is None:
+                    out.append(d)
+                    continue
+                # |a|*d - sign(a)*k*c: var cancels, the scale is positive
+                sub = Constraint(_combine(d.expr, scale, c.expr, sign * k), d.rel)
                 if sub.is_contradiction():
                     return None
                 if not sub.is_trivial():
@@ -516,9 +528,7 @@ def _eliminate(cons: List[Constraint], var: str) -> Optional[List[Constraint]]:
     for p in pos:
         kp = p.expr.coeffs[var]
         for q in neg:
-            kq = q.expr.coeffs[var]
-            combo = _fm_combo(p.expr, q.expr, kp, kq)
-            new = Constraint(combo, GE)
+            new = Constraint(_combine(p.expr, -q.expr.coeffs[var], q.expr, kp), GE)
             if new.is_contradiction():
                 return None
             if not new.is_trivial():
@@ -526,17 +536,16 @@ def _eliminate(cons: List[Constraint], var: str) -> Optional[List[Constraint]]:
     return rest_cons
 
 
-def _fm_combo(pe: LinExpr, qe: LinExpr, kp: Fraction, kq: Fraction) -> LinExpr:
-    """The FM combination ``pe * (-kq) + qe * kp`` in one pass.
+def _combine(pe: LinExpr, a: Coeff, qe: LinExpr, b: Coeff) -> LinExpr:
+    """``a*pe + b*qe`` for ``a > 0``, scaled to coprime integers.
 
-    Equivalent to ``pe.scale(-kq) + qe.scale(kp)`` without the two
-    intermediate expressions; when every value involved is an integer
-    (the common case -- stored constraints are normalized to coprime
-    integers, and integer combos stay integral) the accumulation runs on
-    plain ints, skipping Fraction's per-operation gcd normalization.
+    On integer inputs (the common case -- stored constraints are
+    normalized to coprime integers) the accumulation and the gcd division
+    run on plain ints, skipping Fraction's per-operation normalization;
+    the result is marked as its own normal form.  A non-integral value
+    takes the Fraction path and ``normalized()``, a positive multiple of
+    the same combination.
     """
-    a = -kq
-    b = kp
     if (
         a.denominator == 1
         and b.denominator == 1
@@ -545,7 +554,7 @@ def _fm_combo(pe: LinExpr, qe: LinExpr, kp: Fraction, kq: Fraction) -> LinExpr:
     ):
         ia = a.numerator
         ib = b.numerator
-        coeffs: dict = {}
+        coeffs: Dict[str, int] = {}
         for v, k in pe.coeffs.items():
             if k.denominator != 1:
                 break
@@ -554,16 +563,29 @@ def _fm_combo(pe: LinExpr, qe: LinExpr, kp: Fraction, kq: Fraction) -> LinExpr:
             for v, k in qe.coeffs.items():
                 if k.denominator != 1:
                     break
-                coeffs[v] = coeffs.get(v, 0) + k.numerator * ib
+                cur = coeffs.get(v)
+                if cur is None:
+                    coeffs[v] = k.numerator * ib
+                else:
+                    cur += k.numerator * ib
+                    if cur:
+                        coeffs[v] = cur
+                    else:
+                        del coeffs[v]
             else:
-                return LinExpr(
-                    coeffs, pe.const.numerator * ia + qe.const.numerator * ib
-                )
+                const = pe.const.numerator * ia + qe.const.numerator * ib
+                g = gcd(const, *coeffs.values())
+                if g > 1:
+                    coeffs = {v: k // g for v, k in coeffs.items()}
+                    const //= g
+                expr = LinExpr._of_ints(coeffs, const)
+                expr._norm = expr
+                return expr
     coeffs = {v: k * a for v, k in pe.coeffs.items()}
     for v, k in qe.coeffs.items():
         cur = coeffs.get(v)
         coeffs[v] = k * b if cur is None else cur + k * b
-    return LinExpr(coeffs, pe.const * a + qe.const * b)
+    return LinExpr(coeffs, pe.const * a + qe.const * b).normalized()
 
 
 def _recover_equalities(inequalities: Sequence[Constraint]) -> List[Constraint]:

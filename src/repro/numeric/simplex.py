@@ -29,7 +29,7 @@ import os
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.numeric.linexpr import EQ, GE, Constraint, LinExpr
@@ -617,9 +617,11 @@ def _highs_solve(
     index: dict,
     cost: dict,
     sense: float = 1.0,
+    options: Optional[Mapping[str, int]] = None,
 ) -> Optional[tuple]:
     """One HiGHS model of ``constraints`` (free columns numbered by
-    ``index``, objective ``sense * cost``), solved once.
+    ``index``, objective ``sense * cost``, HiGHS ``options`` on top of
+    the defaults), solved once.
 
     Returns ``(solver, lower, upper)`` with the row bounds, or None when
     a coefficient does not fit a float, a matrix coefficient lies outside
@@ -668,6 +670,8 @@ def _highs_solve(
         lp.a_matrix_.index_ = _np.asarray(idx, dtype=_np.int32)
         lp.a_matrix_.value_ = _np.asarray(vals, dtype=float)
         solver.setOptionValue("output_flag", False)
+        for name, value in (options or {}).items():
+            solver.setOptionValue(name, value)
         solver.passModel(lp)
         solver.run()
     except Exception:  # pragma: no cover - solver hiccup
@@ -838,6 +842,15 @@ def _min_nonnegative(constraints: Sequence[Constraint], expr: LinExpr) -> bool:
     return result.value >= 0
 
 
+# HiGHS settings of the redundancy sweep's shared model.  Between solves
+# the sweep frees a row and swaps the objective; both edits leave the last
+# basis primal feasible, so primal simplex restarts from it where the
+# default (dual) strategy does not.  The rows are normalized to coprime
+# integers, and the sweep ran faster unscaled.  The one-shot models of
+# ``_float_lp`` keep the defaults.
+_SWEEP_OPTIONS = {"simplex_strategy": 4, "simplex_scale_strategy": 0}
+
+
 def minimize_constraints(
     cons: Sequence[Constraint],
 ) -> Optional[List[Constraint]]:
@@ -868,7 +881,7 @@ def minimize_constraints(
     # probe: an infeasible system needs the reference path (its
     # component-restricted entailment can answer differently than the
     # whole-system LP would).
-    model = _highs_solve(cons, index, {})
+    model = _highs_solve(cons, index, {}, options=_SWEEP_OPTIONS)
     if model is None:
         return None
     solver, lower, upper = model

@@ -224,11 +224,17 @@ class VerbExecutor:
             records.extend(
                 D.from_engine_diagnostics(output.diagnostics, proc=output.proc)
             )
+        # Each task reports its own store's counters: sum those and derive
+        # the ratio from the sums, as PersistentSummaryStore.hit_rate() does.
         store_stats: Dict[str, Any] = {}
         for output in report.outputs.values():
             for key, value in (output.stats.get("store") or {}).items():
-                if isinstance(value, (int, float)):
+                if key != "hit_rate" and isinstance(value, (int, float)):
                     store_stats[key] = store_stats.get(key, 0) + value
+        if store_stats:
+            hits = store_stats.get("hits", 0)
+            lookups = hits + store_stats.get("misses", 0)
+            store_stats["hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
         dirty_cone = len(report.incremental["dirty_cone"])
         self.telemetry.gauge("analyze.dirty_cone", dirty_cone)
         self.telemetry.count("analyze.tasks", len(report.analyzed))

@@ -1,11 +1,13 @@
 """Unit and property tests for the polyhedra-lite domain."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numeric.linexpr import Constraint, LinExpr
+from repro.numeric import polyhedra, simplex
+from repro.numeric.linexpr import EQ, GE, Constraint, LinExpr
 from repro.numeric.polyhedra import Polyhedron
 
 
@@ -243,3 +245,198 @@ def test_property_leq_reflexive_transitive_bits(a, b):
     assert a.leq(a)
     j = a.join(b)
     assert a.leq(j) and b.leq(j)
+
+
+# -- integer Fourier-Motzkin against the Fraction formulation ------------------
+
+
+def _fraction_eliminate(cons, var):
+    """The textbook elimination on Fractions, kept as the oracle of
+    ``polyhedra._eliminate``: substitution through ``var = -rest/a`` and
+    the FM pair ``p*(-kq) + q*kp``, neither scaled to integers."""
+    for i, c in enumerate(cons):
+        if c.rel == EQ and var in c.expr.coeffs:
+            a = c.expr.coeffs[var]
+            rest = LinExpr(
+                {u: k for u, k in c.expr.coeffs.items() if u != var}, c.expr.const
+            )
+            replacement = rest.scale(Fraction(-1) / a)
+            out = []
+            for j, d in enumerate(cons):
+                if j == i:
+                    continue
+                sub = d.substitute({var: replacement})
+                if sub.is_contradiction():
+                    return None
+                if not sub.is_trivial():
+                    out.append(sub)
+            return out
+    pos, neg, rest_cons = [], [], []
+    for c in cons:
+        k = c.expr.coeffs.get(var)
+        if k is None:
+            rest_cons.append(c)
+        elif k > 0:
+            pos.append(c)
+        else:
+            neg.append(c)
+    if len(pos) * len(neg) > polyhedra._FM_BLOWUP_CAP:
+        return rest_cons
+    for p in pos:
+        for q in neg:
+            combo = p.expr.scale(-q.expr.coeffs[var]) + q.expr.scale(
+                p.expr.coeffs[var]
+            )
+            new = Constraint(combo, GE)
+            if new.is_contradiction():
+                return None
+            if not new.is_trivial():
+                rest_cons.append(new)
+    return rest_cons
+
+
+_FM_VARS = ["a", "b", "c", "d"]
+
+
+def _random_coeff(rng, fractional):
+    k = rng.choice([-3, -2, -1, 1, 2, 3])
+    if fractional and rng.random() < 0.3:
+        return Fraction(k, rng.choice([2, 3, 4]))
+    if rng.random() < 0.2:
+        return Fraction(k)  # integral, but a Fraction object
+    return k
+
+
+def _random_system(rng, fractional):
+    cons = []
+    for _ in range(rng.randint(1, 7)):
+        support = rng.sample(_FM_VARS, rng.randint(1, 3))
+        expr = LinExpr(
+            {u: _random_coeff(rng, fractional) for u in support},
+            rng.randint(-4, 4),
+        )
+        rel = EQ if rng.random() < 0.25 else GE
+        cons.append(Constraint(expr, rel))
+    return cons
+
+
+def _assert_same_elimination(got_in, want_in, var):
+    """One elimination step, the new one on ``got_in`` and the oracle on
+    ``want_in``; returns both outputs."""
+    got = polyhedra._eliminate(list(got_in), var)
+    want = _fraction_eliminate(list(want_in), var)
+    assert (got is None) == (want is None), (want_in, var)
+    if got is None:
+        return None, None
+    assert [c.normalized() for c in got] == [c.normalized() for c in want]
+    assert Polyhedron(got).constraints == Polyhedron(want).constraints
+    return got, want
+
+
+class TestIntegerFourierMotzkin:
+    def test_matches_fraction_elimination_on_random_systems(self):
+        rng = random.Random(20240611)
+        seen = {"bottom": 0, "negative_pivot": 0, "fractional": 0, "fm": 0}
+        for trial in range(400):
+            fractional = trial % 2 == 1
+            cons = _random_system(rng, fractional)
+            order = rng.sample(_FM_VARS, rng.randint(1, 3))
+            if fractional and any(
+                k.denominator != 1 for c in cons for k in c.expr.coeffs.values()
+            ):
+                seen["fractional"] += 1
+            # Eliminate variables in sequence, as _project_capped does; each
+            # side feeds its own output to the next step.
+            got, want = cons, cons
+            for var in order:
+                pivot = next(
+                    (c for c in got if c.rel == EQ and var in c.expr.coeffs), None
+                )
+                if pivot is not None and pivot.expr.coeffs[var] < 0:
+                    seen["negative_pivot"] += 1
+                elif pivot is None and any(var in c.expr.coeffs for c in got):
+                    seen["fm"] += 1
+                got, want = _assert_same_elimination(got, want, var)
+                if got is None:
+                    seen["bottom"] += 1
+                    break
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_constraint_without_the_variable_passes_through(self):
+        untouched = Constraint.ge(v("b"), 1)
+        cons = [Constraint.ge(v("a"), 0), untouched, Constraint.le(v("a"), 5)]
+        assert polyhedra._eliminate(cons, "a")[0] is untouched
+        pivot = Constraint.eq(v("a").scale(-2), v("c"))
+        assert polyhedra._eliminate([pivot, untouched], "a") == [untouched]
+
+    def test_integer_results_are_primitive_and_their_own_normal_form(self):
+        p = Constraint.ge(v("a").scale(2) + v("b").scale(4), 6)
+        q = Constraint.le(v("a").scale(4), v("b").scale(-2) + 2)
+        (new,) = polyhedra._eliminate([p, q], "a")
+        # 4*(2a + 4b - 6) + 2*(-4a - 2b + 2) = 12b - 20, divided by 4
+        assert new == Constraint(LinExpr({"b": 3}, -5), GE)
+        assert new.expr.normalized() is new.expr
+        assert all(type(k) is int for k in new.expr.coeffs.values())
+
+    def test_contradictions_are_bottom(self):
+        x_ge_1 = Constraint.ge(v("a"), 1)
+        assert polyhedra._eliminate([x_ge_1, Constraint.le(v("a"), 0)], "a") is None
+        neg_pivot = Constraint.eq(v("a").scale(-3), LinExpr.const_expr(-3))
+        assert polyhedra._eliminate([neg_pivot, Constraint.le(v("a"), 0)], "a") is None
+
+    def test_blowup_cap_fallback(self):
+        side = int(polyhedra._FM_BLOWUP_CAP ** 0.5) + 1
+        keep = Constraint.ge(v("b"), 0)
+        cons = [keep]
+        for i in range(side):
+            cons.append(Constraint.ge(v("a") + v("c").scale(i + 1), i))
+            cons.append(Constraint.le(v("a").scale(i + 1), v("d") + i))
+        assert side * side > polyhedra._FM_BLOWUP_CAP
+        got, want = _assert_same_elimination(cons, cons, "a")
+        assert got == want == [keep]
+
+
+def _first_coeff_direction(constraint):
+    """The direction key of the Fraction formulation: every coefficient
+    and the constant divided by the first coefficient's magnitude."""
+    items = sorted(constraint.expr.coeffs.items())
+    scale = Fraction(1) / abs(items[0][1])
+    return (
+        tuple((u, k * scale) for u, k in items),
+        constraint.expr.const * scale,
+    )
+
+
+def _positive_multiples(c1, c2):
+    k1, k2 = c1.expr.coeffs, c2.expr.coeffs
+    if set(k1) != set(k2):
+        return False
+    u = next(iter(k1))
+    ratio = Fraction(k1[u]) / k2[u]
+    return ratio > 0 and all(k1[w] == ratio * k2[w] for w in k1)
+
+
+class TestDirectionKeys:
+    def test_keys_group_positive_multiples_and_order_by_tightness(self):
+        rng = random.Random(7)
+        pool = []
+        for _ in range(60):
+            support = rng.sample(_FM_VARS[:3], rng.randint(1, 2))
+            base = {u: rng.choice([-2, -1, 1, 2, 3]) for u in support}
+            factor = rng.choice([1, 2, 3, Fraction(1, 2)])
+            expr = LinExpr({u: k * factor for u, k in base.items()}, rng.randint(-6, 6))
+            pool.append(Constraint(expr, GE).normalized())
+        shared = 0
+        for c1 in pool:
+            for c2 in pool:
+                key1, eff1 = polyhedra._direction_of(c1)
+                key2, eff2 = polyhedra._direction_of(c2)
+                same = key1 == key2
+                assert same == _positive_multiples(c1, c2), (c1, c2)
+                old1, old2 = _first_coeff_direction(c1), _first_coeff_direction(c2)
+                assert same == (old1[0] == old2[0])
+                if same:
+                    shared += 1
+                    assert (eff1 < eff2) == (old1[1] < old2[1])
+                    assert (eff1 <= eff2) == simplex.entails([c1], c2)
+        assert shared > len(pool)  # some families have several members

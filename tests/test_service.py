@@ -452,6 +452,20 @@ class TestDaemon:
                 for tid, hashes in _batch_hashes(baseline).items()
             }
 
+    def test_warm_store_hit_rate_is_a_ratio(self, server):
+        # A second session finds every procedure in the warm store: the
+        # reply sums the tasks' counters, never their hit rates.
+        with _client(server) as client:
+            assert client.analyze(CHAIN, program_id="first")["ok"]
+            warm = client.analyze(CHAIN, program_id="second")
+        assert warm["ok"]
+        store = warm["telemetry"]["store"]
+        assert store["hits"] >= 4
+        assert store["hit_rate"] == round(
+            store["hits"] / (store["hits"] + store["misses"]), 4
+        )
+        assert 0 < store["hit_rate"] <= 1
+
     def test_assert_verdicts_over_the_wire(self, server):
         with _client(server) as client:
             response = client.check_asserts(ASSERT_SRC)
