@@ -136,17 +136,16 @@ class UniversalDomain(LDWDomain):
     ) -> Polyhedron:
         """Drop body constraints recoverable from E and the guard.
 
-        Uses syntactic keys only (cheap): any use site re-meets the body
+        Syntactic matches only (cheap): any use site re-meets the body
         with E and the guard, so such constraints carry no information.
         """
         if body.is_bottom() or body.is_top():
             return body
-        context_keys = set()
+        context = set()
         for c in tuple(E.constraints) + tuple(gi.guard_poly().constraints):
-            context_keys.add(c.key())
-            for half in c.halves():
-                context_keys.add(half.key())
-        kept = [c for c in body.constraints if c.key() not in context_keys]
+            context.add(c)
+            context.update(c.halves())
+        kept = [c for c in body.constraints if c not in context]
         if len(kept) == len(body.constraints):
             return body
         return Polyhedron(kept)

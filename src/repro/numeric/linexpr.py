@@ -4,14 +4,15 @@ The whole analysis works with *symbolic terms* as variables: strings such
 as ``"hd(n3)"``, ``"len(n3)"``, ``"n3[y1]"``, ``"y1"`` or a plain data
 variable name.  A :class:`LinExpr` is an affine combination of such terms
 with exact rational coefficients; a :class:`Constraint` is ``expr >= 0`` or
-``expr == 0``.
+``expr == 0``, stored in a canonical form (see :class:`Constraint`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Union
 
 Coeff = Union[int, Fraction]
 
@@ -32,15 +33,10 @@ def _frac(value: Coeff):
     return value if isinstance(value, (Fraction, int)) else Fraction(value)
 
 
-def _intish(value: Fraction):
-    """An int when exact (the common case after normalization)."""
-    return value.numerator if value.denominator == 1 else value
-
-
 class LinExpr:
     """An immutable affine expression ``sum(coeff_i * var_i) + const``."""
 
-    __slots__ = ("coeffs", "const", "_hash", "_norm", "_support")
+    __slots__ = ("coeffs", "const", "_hash", "_support")
 
     def __init__(self, coeffs: Mapping[str, Coeff] = (), const: Coeff = 0):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -52,7 +48,6 @@ class LinExpr:
         self.coeffs: Dict[str, Fraction] = clean
         self.const: Fraction = _frac(const)
         self._hash = None
-        self._norm = None
         self._support = None
 
     # -- constructors ----------------------------------------------------
@@ -69,7 +64,6 @@ class LinExpr:
         self.coeffs = coeffs
         self.const = const
         self._hash = None
-        self._norm = None
         self._support = None
         return self
 
@@ -155,61 +149,6 @@ class LinExpr:
             total += c * _frac(env[var])
         return total
 
-    # -- canonical form ---------------------------------------------------
-
-    def normalized(self) -> "LinExpr":
-        """Scale so coefficients are coprime integers.
-
-        The sign convention (leading coefficient positive) is *not* applied
-        here because it would flip inequality directions; equality
-        constraints apply it in :meth:`Constraint.normalized`.
-        """
-        if self._norm is not None:
-            return self._norm
-        if not self.coeffs and self.const == 0:
-            self._norm = self
-            return self
-        lcm = self.const.denominator
-        for c in self.coeffs.values():
-            d = c.denominator
-            if d != 1:
-                lcm = lcm * d // gcd(lcm, d)
-        if lcm == 1:
-            # All-integer expression (the common case): divide out the
-            # gcd with plain int arithmetic.
-            g = abs(self.const.numerator)
-            for c in self.coeffs.values():
-                g = gcd(g, c.numerator)
-                if g == 1:
-                    break
-            if g <= 1:
-                result = self
-            else:
-                result = LinExpr._of_ints(
-                    {v: c.numerator // g for v, c in self.coeffs.items()},
-                    self.const.numerator // g,
-                )
-        else:
-            nums = [abs(int(c * lcm)) for c in self.coeffs.values() if c != 0]
-            if self.const != 0:
-                nums.append(abs(int(self.const * lcm)))
-            g = 0
-            for n in nums:
-                g = gcd(g, n)
-            factor = Fraction(lcm, g if g else 1)
-            result = self.scale(factor) if factor != 1 else self
-        result._norm = result
-        self._norm = result
-        return result
-
-    def key(self) -> Tuple:
-        """A hashable canonical key (integer entries hash much faster)."""
-        norm = self.normalized()
-        return (
-            tuple(sorted((v, _intish(c)) for v, c in norm.coeffs.items())),
-            _intish(norm.const),
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinExpr)
@@ -221,6 +160,11 @@ class LinExpr:
         if self._hash is None:
             self._hash = hash((tuple(sorted(self.coeffs.items())), self.const))
         return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the values alone: a cached hash of string terms is
+        # only valid under the hash seed of the process that computed it.
+        return (LinExpr, (self.coeffs, self.const))
 
     def __repr__(self) -> str:
         parts = []
@@ -240,19 +184,48 @@ class LinExpr:
         return text[2:] if text.startswith("+ ") else text
 
 
-class Constraint:
-    """A linear constraint ``expr >= 0`` (``GE``) or ``expr == 0`` (``EQ``)."""
+def _canonical(expr: LinExpr, rel: str) -> LinExpr:
+    """``expr`` rescaled to coprime plain-int coefficients and constant.
 
-    __slots__ = ("expr", "rel", "_hash", "_key", "_norm", "_frow", "_dir")
+    The factor is positive, except that an equality's coefficient on its
+    smallest variable (its constant, if it has no variable) is made
+    positive.  Returns ``expr`` itself when it is already in that form.
+    """
+    coeffs = expr.coeffs
+    const = expr.const
+    try:
+        g = gcd(const, *coeffs.values())
+    except TypeError:  # a Fraction among the values: clear denominators
+        lcm = const.denominator
+        for k in coeffs.values():
+            lcm = lcm * k.denominator // gcd(lcm, k.denominator)
+        cleared = {v: int(k * lcm) for v, k in coeffs.items()}
+        return _canonical(LinExpr._of_ints(cleared, int(const * lcm)), rel)
+    if rel == EQ and (coeffs[min(coeffs)] if coeffs else const) < 0:
+        g = -g
+    if g in (0, 1):  # 0: the zero expression
+        return expr
+    return LinExpr._of_ints({v: k // g for v, k in coeffs.items()}, const // g)
+
+
+class Constraint:
+    """A linear constraint ``expr >= 0`` (``GE``) or ``expr == 0`` (``EQ``).
+
+    The constructor stores ``expr`` in canonical form (see
+    ``_canonical``): coprime plain-int values and, for an equality, a
+    positive leading value.  Two constraints that differ by such a
+    rescaling are therefore ``==`` and hash alike, so a constraint
+    serves as its own memo key.
+    """
+
+    __slots__ = ("expr", "rel", "_hash", "_frow", "_dir")
 
     def __init__(self, expr: LinExpr, rel: str):
         if rel not in (GE, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        self.expr = expr
+        self.expr = _canonical(expr, rel)
         self.rel = rel
         self._hash = None
-        self._key = None
-        self._norm = None
         self._frow = None  # cached float view for the LP fast path
         self._dir = None  # cached (direction, eff const); see polyhedra
 
@@ -338,25 +311,6 @@ class Constraint:
             yield Constraint(self.expr, GE)
             yield Constraint(self.expr.scale(-1), GE)
 
-    def normalized(self) -> "Constraint":
-        if self._norm is not None:
-            return self._norm
-        expr = self.expr.normalized()
-        if self.rel == EQ and expr.coeffs:
-            first_var = min(expr.coeffs)
-            if expr.coeffs[first_var] < 0:
-                expr = expr.scale(-1).normalized()
-        result = self if expr is self.expr else Constraint(expr, self.rel)
-        result._norm = result
-        self._norm = result
-        return result
-
-    def key(self) -> Tuple:
-        if self._key is None:
-            norm = self.normalized()
-            self._key = (norm.rel,) + norm.expr.key()
-        return self._key
-
     def holds(self, env: Mapping[str, Coeff]) -> bool:
         value = self.expr.evaluate(env)
         return value >= 0 if self.rel == GE else value == 0
@@ -372,6 +326,9 @@ class Constraint:
         if self._hash is None:
             self._hash = hash((self.rel, self.expr))
         return self._hash
+
+    def __reduce__(self):
+        return (Constraint, (self.expr, self.rel))
 
     def __repr__(self) -> str:
         return f"{self.expr!r} {self.rel} 0"

@@ -26,16 +26,15 @@ _FM_BLOWUP_CAP = 600
 
 # Join memo (fast-kernel mode): hull joins recur heavily across fixpoint
 # iterations -- the same pair of constraint systems is joined at every
-# visit of a loop head.  Keyed on the ORDERED constraint-key tuples of
-# both operands: a Polyhedron's constraint tuple is a deterministic
-# function of the ordered normalized keys, so equal keys mean
+# visit of a loop head.  Keyed on the ORDERED constraint tuples of both
+# operands: a constraint is its canonical form, so equal tuples mean
 # representation-identical operands and the cached result is
 # representation-identical to a fresh join.
 _JOIN_CACHE = kernels.memo(50_000)
 
-# minimized() memo.  Keyed on the exact (non-normalized) constraint tuple:
-# Constraint.__hash__/__eq__ compare representations bit-for-bit, so a hit
-# returns the very Polyhedron a fresh sweep over the same list would build.
+# minimized() memo, keyed on the ordered constraint tuple the same way: a
+# hit returns the very Polyhedron a fresh sweep over the same list would
+# build.
 _MIN_CACHE = kernels.memo(50_000)
 
 
@@ -56,8 +55,8 @@ def clear_caches() -> None:
 
 
 def _direction_of(constraint: Constraint) -> Tuple[Tuple, Coeff]:
-    """Canonical (coefficient-direction key, effective constant) of a
-    normalized GE constraint.
+    """Canonical (coefficient-direction key, effective constant) of a GE
+    constraint.
 
     The key is the primitive integer coefficient vector (the coefficients
     divided by their gcd ``g``) and the effective constant is
@@ -68,9 +67,9 @@ def _direction_of(constraint: Constraint) -> Tuple[Tuple, Coeff]:
     if constraint._dir is not None:
         return constraint._dir
     expr = constraint.expr
-    items = sorted((v, k.numerator) for v, k in expr.coeffs.items())
-    g = gcd(*[k for _, k in items])
-    const = expr.const.numerator
+    items = sorted(expr.coeffs.items())
+    g = gcd(*expr.coeffs.values())
+    const = expr.const
     if g == 1:
         constraint._dir = (tuple(items), const)
     else:
@@ -90,7 +89,7 @@ class Polyhedron:
         "_feasible",
         "_entail_cache",
         "_eq_basis",
-        "_ge_keys",
+        "_ges",
     )
 
     def __init__(self, constraints: Iterable[Constraint] = (), bottom: bool = False):
@@ -98,11 +97,11 @@ class Polyhedron:
             self.constraints: Tuple[Constraint, ...] = ()
             self._bottom: Optional[bool] = True
         else:
-            # Dedup by canonical key and keep only the tightest of any
-            # family of parallel inequalities (same coefficient direction);
+            # Dedup equalities and keep only the tightest of any family of
+            # parallel inequalities (same coefficient direction);
             # Fourier-Motzkin output is dominated by such redundancy.
-            by_direction: Dict[Tuple, Tuple[Fraction, Constraint]] = {}
-            eqs: Dict[Tuple, Constraint] = {}
+            by_direction: Dict[Tuple, Tuple[Coeff, Constraint]] = {}
+            eqs: Dict[Constraint, None] = {}
             contradiction = False
             for c in constraints:
                 if c.is_trivial():
@@ -110,27 +109,26 @@ class Polyhedron:
                 if c.is_contradiction():
                     contradiction = True
                     break
-                norm = c.normalized()
-                if norm.rel == EQ:
-                    eqs.setdefault(norm.key(), norm)
+                if c.rel == EQ:
+                    eqs.setdefault(c)
                     continue
-                direction, eff_const = _direction_of(norm)
+                direction, eff_const = _direction_of(c)
                 best = by_direction.get(direction)
                 if best is None or eff_const < best[0]:
-                    by_direction[direction] = (eff_const, norm)
+                    by_direction[direction] = (eff_const, c)
             if contradiction:
                 self.constraints = ()
                 self._bottom = True
             else:
-                kept = list(eqs.values()) + [
+                kept = list(eqs) + [
                     c for _, c in by_direction.values()
                 ]
                 self.constraints = tuple(kept)
                 self._bottom = None if kept else False
         self._feasible: Optional[bool] = None
-        self._entail_cache: Dict[Tuple, bool] = {}
+        self._entail_cache: Dict[Constraint, bool] = {}
         self._eq_basis = None
-        self._ge_keys = None
+        self._ges = None
 
     # -- constructors ----------------------------------------------------
 
@@ -189,9 +187,7 @@ class Polyhedron:
                     rows.append(row)
             columns = sorted(set().union(set(), *rows))
             self._eq_basis = (rref(rows, columns), columns)
-            self._ge_keys = {
-                c.key() for c in self.constraints if c.rel == GE
-            }
+            self._ges = {c for c in self.constraints if c.rel == GE}
         basis, columns = self._eq_basis
         row = dict(candidate.expr.coeffs)
         if candidate.expr.const != 0:
@@ -206,16 +202,14 @@ class Polyhedron:
                 return const == 0
             return True if const >= 0 else None
         if candidate.rel == GE:
-            reduced = Constraint(LinExpr(row, const), GE)
-            if reduced.key() in self._ge_keys:
+            if Constraint(LinExpr(row, const), GE) in self._ges:
                 return True
         return None
 
     def entails(self, candidate: Constraint) -> bool:
         if self._bottom is True:
             return True
-        key = candidate.key()
-        cached = self._entail_cache.get(key)
+        cached = self._entail_cache.get(candidate)
         if cached is None:
             if self.is_bottom():
                 cached = True
@@ -225,7 +219,7 @@ class Polyhedron:
                     cached = simplex.entails(
                         self.constraints, candidate, assume_feasible=True
                     )
-            self._entail_cache[key] = cached
+            self._entail_cache[candidate] = cached
         return cached
 
     def entails_all(self, candidates: Iterable[Constraint]) -> bool:
@@ -247,17 +241,6 @@ class Polyhedron:
         if self._bottom is True:
             return False
         return all(c.holds(env) for c in self.constraints)
-
-    def bounds(self, expr: LinExpr) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-        """(min, max) of expr over the polyhedron; None means unbounded."""
-        if self.is_bottom():
-            return (None, None)
-        lo = simplex.solve_lp(self.constraints, expr, maximize=False)
-        hi = simplex.solve_lp(self.constraints, expr, maximize=True)
-        return (
-            lo.value if lo.status == simplex.OPTIMAL else None,
-            hi.value if hi.status == simplex.OPTIMAL else None,
-        )
 
     # -- lattice operations ------------------------------------------------
 
@@ -286,10 +269,7 @@ class Polyhedron:
         if self is other:
             return self
         if kernels.FAST:
-            memo_key = (
-                tuple(c.key() for c in self.constraints),
-                tuple(c.key() for c in other.constraints),
-            )
+            memo_key = (self.constraints, other.constraints)
             cached = _JOIN_CACHE.get(memo_key)
             if cached is not None:
                 return cached
@@ -353,12 +333,11 @@ class Polyhedron:
         candidates: List[Constraint] = list(
             _common_equalities(self.equalities(), other.equalities())
         )
-        seen: Set[Tuple] = {c.key() for c in candidates}
+        seen: Set[Constraint] = set(candidates)
         for c in self.constraints + other.constraints:
             for half in c.halves():
-                k = half.key()
-                if k not in seen:
-                    seen.add(k)
+                if half not in seen:
+                    seen.add(half)
                     candidates.append(half)
         kept = [c for c in candidates if self.entails(c) and other.entails(c)]
         return Polyhedron(_recover_equalities(kept)).minimized()
@@ -415,9 +394,6 @@ class Polyhedron:
                 return _BOTTOM
         return Polyhedron(cons).minimized()
 
-    def forget(self, variables: Iterable[str]) -> "Polyhedron":
-        return self.project(variables)
-
     def restrict_to(self, variables: Iterable[str]) -> "Polyhedron":
         """Project away everything *outside* ``variables``."""
         keep = set(variables)
@@ -470,7 +446,7 @@ class Polyhedron:
         return self.equivalent(other)
 
     def __hash__(self) -> int:  # structural hash; semantic eq is not hashable
-        return hash((self._bottom is True, frozenset(c.key() for c in self.constraints)))
+        return hash((self._bottom is True, frozenset(self.constraints)))
 
     def __repr__(self) -> str:
         if self._bottom is True:
@@ -485,9 +461,9 @@ def _eliminate(cons: List[Constraint], var: str) -> Optional[List[Constraint]]:
 
     Every constraint the elimination builds is a positive multiple of the
     textbook one (substitution through ``var = -rest/a``, or the FM pair
-    ``p*(-kq) + q*kp``) in its primitive integer form, so parallel-family
-    choices, triviality and contradiction are those of the textbook
-    constraint.  Constraints without ``var`` pass through unchanged.
+    ``p*(-kq) + q*kp``), computed on the integer values of the canonical
+    inputs, so the constructor gives it the textbook constraint's
+    canonical form.  Constraints without ``var`` pass through unchanged.
     """
     # Prefer substitution through an equality involving var.
     for i, c in enumerate(cons):
@@ -516,7 +492,7 @@ def _eliminate(cons: List[Constraint], var: str) -> Optional[List[Constraint]]:
     rest_cons: List[Constraint] = []
     for c in cons:
         k = c.expr.coeffs.get(var)
-        if k is None or k == 0:
+        if k is None:
             rest_cons.append(c)
         elif k > 0:
             pos.append(c)
@@ -536,83 +512,43 @@ def _eliminate(cons: List[Constraint], var: str) -> Optional[List[Constraint]]:
     return rest_cons
 
 
-def _combine(pe: LinExpr, a: Coeff, qe: LinExpr, b: Coeff) -> LinExpr:
-    """``a*pe + b*qe`` for ``a > 0``, scaled to coprime integers.
-
-    On integer inputs (the common case -- stored constraints are
-    normalized to coprime integers) the accumulation and the gcd division
-    run on plain ints, skipping Fraction's per-operation normalization;
-    the result is marked as its own normal form.  A non-integral value
-    takes the Fraction path and ``normalized()``, a positive multiple of
-    the same combination.
-    """
-    if (
-        a.denominator == 1
-        and b.denominator == 1
-        and pe.const.denominator == 1
-        and qe.const.denominator == 1
-    ):
-        ia = a.numerator
-        ib = b.numerator
-        coeffs: Dict[str, int] = {}
-        for v, k in pe.coeffs.items():
-            if k.denominator != 1:
-                break
-            coeffs[v] = k.numerator * ia
-        else:
-            for v, k in qe.coeffs.items():
-                if k.denominator != 1:
-                    break
-                cur = coeffs.get(v)
-                if cur is None:
-                    coeffs[v] = k.numerator * ib
-                else:
-                    cur += k.numerator * ib
-                    if cur:
-                        coeffs[v] = cur
-                    else:
-                        del coeffs[v]
-            else:
-                const = pe.const.numerator * ia + qe.const.numerator * ib
-                g = gcd(const, *coeffs.values())
-                if g > 1:
-                    coeffs = {v: k // g for v, k in coeffs.items()}
-                    const //= g
-                expr = LinExpr._of_ints(coeffs, const)
-                expr._norm = expr
-                return expr
+def _combine(pe: LinExpr, a: int, qe: LinExpr, b: int) -> LinExpr:
+    """``a*pe + b*qe`` for ``a > 0`` over the plain-int values of two
+    canonical constraints (the ``Constraint`` constructor reduces it)."""
     coeffs = {v: k * a for v, k in pe.coeffs.items()}
     for v, k in qe.coeffs.items():
         cur = coeffs.get(v)
-        coeffs[v] = k * b if cur is None else cur + k * b
-    return LinExpr(coeffs, pe.const * a + qe.const * b).normalized()
+        if cur is None:
+            coeffs[v] = k * b
+        else:
+            cur += k * b
+            if cur:
+                coeffs[v] = cur
+            else:
+                del coeffs[v]
+    return LinExpr._of_ints(coeffs, pe.const * a + qe.const * b)
 
 
 def _recover_equalities(inequalities: Sequence[Constraint]) -> List[Constraint]:
     """Pair up opposite inequality halves back into equalities."""
-    by_key: Dict[Tuple, Constraint] = {}
+    seen: Set[Constraint] = set()
     result: List[Constraint] = []
     consumed: Set[int] = set()
-    normed = [c.normalized() for c in inequalities]
-    for i, c in enumerate(normed):
+    for i, c in enumerate(inequalities):
         if c.rel != GE:
             result.append(c)
             consumed.add(i)
             continue
-        neg_key = Constraint(c.expr.scale(-1), GE).key()
-        by_key.setdefault(c.key(), c)
-        partner = by_key.get(neg_key)
-        if partner is not None and i not in consumed:
+        seen.add(c)
+        if Constraint(-c.expr, GE) in seen:
             result.append(Constraint(c.expr, EQ))
             consumed.add(i)
-    for i, c in enumerate(normed):
+    for i, c in enumerate(inequalities):
         if i in consumed or c.rel != GE:
             continue
-        eq_key = Constraint(c.expr, EQ).normalized().key()
-        if any(r.rel == EQ and r.normalized().key() == eq_key for r in result):
+        if Constraint(c.expr, EQ) in result:
             continue
-        neg_key = Constraint(c.expr.scale(-1), GE).key()
-        if neg_key in by_key:
+        if Constraint(-c.expr, GE) in seen:
             continue  # folded into an equality above
         result.append(c)
     return result
@@ -667,7 +603,7 @@ def _common_equalities(
         const = combo.pop(_CONST, Fraction(0))
         expr = LinExpr(combo, const)
         if expr.coeffs:
-            out.append(Constraint(expr, EQ).normalized())
+            out.append(Constraint(expr, EQ))
     return out
 
 

@@ -168,25 +168,19 @@ def _simplex_phase(
 
 # Memo for exact solves: one AU transfer step can issue thousands of
 # entailment checks whose ambiguous cases all fall back to the exact
-# simplex, and the same canonical system recurs across join/widen/leq
-# chains — the PR-2 fuzzing oracle measured single steps sinking minutes
-# here.  Keyed on the *canonical* constraint system (order-independent
-# frozenset of constraint keys) plus objective and sense; LPResult values
-# are immutable, so sharing them is safe.
+# simplex, and the same system recurs across join/widen/leq chains.
+# Keyed on the order-independent frozenset of the constraints plus the
+# objective and the sense; LPResult values are immutable, so sharing them
+# is safe.
 #
-# Key-aliasing audit (see tests/test_kernels.py): a collision would need
-# two semantically different inputs mapping to the same key.  That cannot
-# happen because (a) ``Constraint.key()`` starts with the relation, so a
-# GE and an EQ over the same expression never collide; (b) keys are built
-# from ``normalized()`` forms — coprime integer coefficients with a sign
-# convention applied only to equalities — so two keys are equal iff the
-# constraints are positive multiples of each other, i.e. the same
-# half-space/hyperplane; (c) duplicate constraints collapsing in the
-# frozenset is harmless (conjunction is idempotent); (d) trivial
-# constraints are filtered *before* keying in every caller, so presence
-# or absence of ``0 >= 0`` cannot alias two systems; and (e) the
-# objective's key includes its constant and the ``maximize`` sense is a
-# separate key component.
+# A constraint is its canonical form (coprime integers; an equality's
+# sign fixed), and ``==`` compares relation and form, so two keys are
+# equal iff the systems are the same conjunction of half-spaces and
+# hyperplanes (see tests/test_kernels.py).  Duplicates collapsing in the
+# frozenset is harmless (conjunction is idempotent), and trivial
+# constraints are dropped before keying, so ``0 >= 0`` cannot alias two
+# systems.  The objective is a LinExpr, which keeps its scale and its
+# constant, so ``2*x`` and ``x`` get separate slots.
 _SOLVE_CACHE = kernels.memo(200_000)
 
 # Fast exact solves and their blowup aborts (see ``_solve_lp_int``).
@@ -251,13 +245,7 @@ def solve_lp(
         if c.is_contradiction():
             return LPResult(INFEASIBLE)
 
-    sys_key = frozenset(c.key() for c in cons)
-    # The objective must be memoized EXACTLY, not via LinExpr.key():
-    # key() normalizes scale away, so the objectives ``2*x`` and ``x``
-    # (or the constants ``5`` and ``1``) would alias one cache slot and
-    # return each other's optima.  Constraint keys may normalize (the
-    # feasible set is scale-invariant); the objective value is not.
-    memo_key = (sys_key, objective, maximize)
+    memo_key = (frozenset(cons), objective, maximize)
     cached = _SOLVE_CACHE.get(memo_key)
     if cached is not None:
         return cached
@@ -800,17 +788,14 @@ def entails(
     """
     if candidate.is_trivial():
         return True
-    cand_key = candidate.key()
-    # Syntactic fast path: the candidate (or an equality covering it)
-    # already appears in the system.
-    for c in constraints:
-        if c.key() == cand_key:
-            return True
+    # Syntactic fast path: the candidate already appears in the system.
+    if candidate in constraints:
+        return True
     if assume_feasible:
         constraints = _connected_subset(constraints, candidate.support())
         if not constraints:
             return False  # feasible system, unconstrained direction
-    sys_key = (frozenset(c.key() for c in constraints), cand_key)
+    sys_key = (frozenset(constraints), candidate)
     cached = _ENTAILS_CACHE.get(sys_key)
     if cached is not None:
         return cached
@@ -925,36 +910,3 @@ def minimize_constraints(
             except Exception:  # pragma: no cover
                 return None
     return kept
-
-
-def sample_point(constraints: Sequence[Constraint]) -> Optional[dict]:
-    """Return a rational point satisfying the constraints, or None.
-
-    Used by tests as a witness generator.
-    """
-    cons = [c for c in constraints if not c.is_trivial()]
-    for c in cons:
-        if c.is_contradiction():
-            return None
-    variables = sorted(set().union(set(), *[c.support() for c in cons]))
-    if not variables:
-        return {}
-    # Minimize 0 to run phase 1, then read off basic values.
-    result = solve_lp(cons, LinExpr())
-    if result.status == INFEASIBLE:
-        return None
-    # Re-run internally to extract a point: minimize each variable summed,
-    # bounded check avoided by minimizing 0 and extracting from tableau is
-    # not exposed; instead minimize nothing and probe coordinates greedily.
-    point = {}
-    fixed: List[Constraint] = list(cons)
-    for var in variables:
-        lo = solve_lp(fixed, LinExpr.var(var), maximize=False)
-        if lo.status == OPTIMAL:
-            value = lo.value
-        else:
-            hi = solve_lp(fixed, LinExpr.var(var), maximize=True)
-            value = hi.value if hi.status == OPTIMAL else Fraction(0)
-        point[var] = value
-        fixed.append(Constraint.eq(LinExpr.var(var), LinExpr.const_expr(value)))
-    return point

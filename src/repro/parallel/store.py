@@ -85,13 +85,16 @@ def schema_fingerprint() -> str:
     Payloads are pickles of ``(proc, AbstractHeap, HeapSet)`` triples
     whose values are domain objects (polyhedra, words, rationals); a
     change to any of those class definitions can make old pickles load
-    into stale or undefined states.  Hashing their module sources makes
+    into stale or undefined states.  Hashing their module sources (every
+    ``repro`` module an AM or AU payload loads a class from) makes
     entries written by different code versions miss instead.
     """
     global _fingerprint_cache
     if _fingerprint_cache is None:
         import repro.datawords.multiset
+        import repro.datawords.patterns
         import repro.datawords.universal
+        import repro.numeric.linexpr
         import repro.numeric.polyhedra
         import repro.shape.abstract_heap
         import repro.shape.graph
@@ -106,8 +109,10 @@ def schema_fingerprint() -> str:
             repro.shape.graph,
             repro.shape.abstract_heap,
             repro.shape.heap_set,
+            repro.numeric.linexpr,
             repro.numeric.polyhedra,
             repro.datawords.multiset,
+            repro.datawords.patterns,
             repro.datawords.universal,
         ):
             source = inspect.getsource(module).encode("utf-8")

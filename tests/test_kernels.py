@@ -42,15 +42,15 @@ def _system():
     ]
 
 
-# -- LP memo-key aliasing (the bug this PR fixes) ------------------------------
+# -- LP memo-key aliasing -------------------------------------------------------
 
 
 def test_scaled_objectives_do_not_alias():
     """``min 2x`` after ``min x`` must not replay the cached ``min x``.
 
-    LinExpr.key() normalizes scale away, so memoizing the objective by
-    key aliased ``x`` and ``2x`` (and any two positive constants) to one
-    cache slot; the second query returned the first's optimum.
+    The objective is keyed exactly: a scale-normalized key would alias
+    ``x`` and ``2x`` (and any two positive constants) to one cache slot,
+    and the second query would return the first's optimum.
     """
     cons = _system()
     first = simplex.solve_lp(cons, _x())
@@ -121,8 +121,9 @@ def test_minimized_memo_returns_same_representation():
     ]
     first = Polyhedron(list(cons)).minimized()
     second = Polyhedron(list(cons)).minimized()
-    assert [c.key() for c in first.constraints] == [
-        c.key() for c in second.constraints
+    assert first.constraints == second.constraints
+    assert [hash(c) for c in first.constraints] == [
+        hash(c) for c in second.constraints
     ]
     kernels.set_mode("reference")
     ref = Polyhedron(list(cons)).minimized()

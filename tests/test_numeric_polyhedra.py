@@ -308,7 +308,8 @@ def _random_coeff(rng, fractional):
 
 
 def _random_system(rng, fractional):
-    cons = []
+    """Random ``(expr, rel)`` inputs for the ``Constraint`` constructor."""
+    rows = []
     for _ in range(rng.randint(1, 7)):
         support = rng.sample(_FM_VARS, rng.randint(1, 3))
         expr = LinExpr(
@@ -316,8 +317,8 @@ def _random_system(rng, fractional):
             rng.randint(-4, 4),
         )
         rel = EQ if rng.random() < 0.25 else GE
-        cons.append(Constraint(expr, rel))
-    return cons
+        rows.append((expr, rel))
+    return rows
 
 
 def _assert_same_elimination(got_in, want_in, var):
@@ -328,7 +329,7 @@ def _assert_same_elimination(got_in, want_in, var):
     assert (got is None) == (want is None), (want_in, var)
     if got is None:
         return None, None
-    assert [c.normalized() for c in got] == [c.normalized() for c in want]
+    assert got == want
     assert Polyhedron(got).constraints == Polyhedron(want).constraints
     return got, want
 
@@ -339,12 +340,13 @@ class TestIntegerFourierMotzkin:
         seen = {"bottom": 0, "negative_pivot": 0, "fractional": 0, "fm": 0}
         for trial in range(400):
             fractional = trial % 2 == 1
-            cons = _random_system(rng, fractional)
+            rows = _random_system(rng, fractional)
             order = rng.sample(_FM_VARS, rng.randint(1, 3))
             if fractional and any(
-                k.denominator != 1 for c in cons for k in c.expr.coeffs.values()
+                k.denominator != 1 for e, _ in rows for k in e.coeffs.values()
             ):
                 seen["fractional"] += 1
+            cons = [Constraint(e, rel) for e, rel in rows]
             # Eliminate variables in sequence, as _project_capped does; each
             # side feeds its own output to the next step.
             got, want = cons, cons
@@ -375,7 +377,7 @@ class TestIntegerFourierMotzkin:
         (new,) = polyhedra._eliminate([p, q], "a")
         # 4*(2a + 4b - 6) + 2*(-4a - 2b + 2) = 12b - 20, divided by 4
         assert new == Constraint(LinExpr({"b": 3}, -5), GE)
-        assert new.expr.normalized() is new.expr
+        assert Constraint(new.expr, GE).expr is new.expr
         assert all(type(k) is int for k in new.expr.coeffs.values())
 
     def test_contradictions_are_bottom(self):
@@ -425,7 +427,7 @@ class TestDirectionKeys:
             base = {u: rng.choice([-2, -1, 1, 2, 3]) for u in support}
             factor = rng.choice([1, 2, 3, Fraction(1, 2)])
             expr = LinExpr({u: k * factor for u, k in base.items()}, rng.randint(-6, 6))
-            pool.append(Constraint(expr, GE).normalized())
+            pool.append(Constraint(expr, GE))
         shared = 0
         for c1 in pool:
             for c2 in pool:

@@ -22,7 +22,6 @@ from repro.numeric.simplex import (
     UNBOUNDED,
     entails,
     is_feasible,
-    sample_point,
     solve_lp,
 )
 
@@ -249,26 +248,6 @@ class TestEntailsAndFeasibility:
         assert entails(cons, Constraint.le(v("x"), v("z")))
         assert not entails(cons, Constraint.le(v("z"), v("x")))
 
-    def test_sample_point(self):
-        cons = [Constraint.ge(v("x"), 2), Constraint.le(v("x"), 3)]
-        point = sample_point(cons)
-        assert point is not None
-        assert 2 <= point["x"] <= 3
-
-    def test_sample_point_infeasible(self):
-        cons = [Constraint.ge(v("x"), 2), Constraint.le(v("x"), 1)]
-        assert sample_point(cons) is None
-
-    def test_sample_point_satisfies_all(self):
-        cons = [
-            Constraint.ge(v("x") + v("y"), 3),
-            Constraint.le(v("x") - v("y"), 1),
-            Constraint.ge(v("y"), 0),
-        ]
-        point = sample_point(cons)
-        for c in cons:
-            assert c.holds(point)
-
 
 def _chain(first, last):
     """``x_i >= i`` for i in [first, last]: rows that widen a system past
@@ -343,7 +322,9 @@ def _fm_like_system(rng):
     """21-60 integer constraints shaped like Fourier-Motzkin output:
     equalities first, then inequalities, many of them positive
     combinations of earlier ones.  Most systems hold at a random
-    integer point; about one in ten is made infeasible."""
+    integer point; about one in ten is made infeasible.  Combinations are
+    built from the inequalities' expressions as written, not from their
+    canonical forms."""
     names = [f"x{i}" for i in range(rng.randint(4, 7))]
     point = {n: rng.randint(-4, 4) for n in names}
 
@@ -356,15 +337,21 @@ def _fm_like_system(rng):
         e = random_expr()
         raw.append(Constraint.eq(e, e.evaluate(point)))
     ineqs = []
+    exprs = []  # each inequality's ``expr >= 0`` side, unscaled
+
+    def add_ge(e, rhs):
+        exprs.append(e - rhs)
+        ineqs.append(Constraint.ge(e, rhs))
+
     target = rng.randint(21, 60)
     while len(Polyhedron(raw + ineqs).constraints) < target:
         if len(ineqs) >= 2 and rng.random() < 0.4:
-            p, q = rng.sample(ineqs, 2)
-            e = p.expr.scale(rng.randint(1, 3)) + q.expr.scale(rng.randint(1, 3))
-            ineqs.append(Constraint.ge(e, -rng.randint(0, 3)))
+            p, q = rng.sample(exprs, 2)
+            e = p.scale(rng.randint(1, 3)) + q.scale(rng.randint(1, 3))
+            add_ge(e, -rng.randint(0, 3))
         else:
             e = random_expr()
-            ineqs.append(Constraint.ge(e, e.evaluate(point) - rng.randint(0, 4)))
+            add_ge(e, e.evaluate(point) - rng.randint(0, 4))
     if rng.random() < 0.1:
         e = random_expr()
         ineqs.append(Constraint.ge(e, e.evaluate(point) + 1))

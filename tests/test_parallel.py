@@ -264,6 +264,56 @@ class TestPersistentSummaryStore:
         assert schema_fingerprint() == schema_fingerprint()
         assert isinstance(schema_fingerprint(), str)
 
+    def test_fingerprint_covers_every_module_a_summary_loads(
+        self, tmp_path, monkeypatch
+    ):
+        # The fingerprint must change whenever a class inside a pickled
+        # AM or AU summary changes, so it has to hash the source of every
+        # repro module that unpickling such a summary loads a class from.
+        import base64
+        import inspect
+        import io
+        import pickle
+
+        import repro.parallel.store as store_mod
+
+        hashed = set()
+        real_getsource = inspect.getsource
+
+        def recording_getsource(module):
+            hashed.add(module.__name__)
+            return real_getsource(module)
+
+        monkeypatch.setattr(store_mod.inspect, "getsource", recording_getsource)
+        monkeypatch.setattr(store_mod, "_fingerprint_cache", None)
+        schema_fingerprint()
+        monkeypatch.undo()
+
+        store = PersistentSummaryStore(str(tmp_path))
+        analyzer = Analyzer.from_source(
+            "proc addfst(x: list, d: int) returns (r: list) {"
+            " local t: list; t = new; t->data = d; t->next = x; r = t; }",
+            cache=store,
+        )
+        for domain in ("am", "au"):
+            assert analyzer.analyze("addfst", domain=domain).ok
+
+        loaded = set()
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                loaded.add(module)
+                return super().find_class(module, name)
+
+        entries = list(tmp_path.glob("*.json"))
+        assert len(entries) == 2
+        for entry in entries:
+            payload = json.loads(entry.read_text(encoding="utf-8"))["payload"]
+            Recording(io.BytesIO(base64.b64decode(payload))).load()
+        loaded = {m for m in loaded if m.split(".")[0] == "repro"}
+        assert {"repro.numeric.linexpr", "repro.numeric.polyhedra"} <= loaded
+        assert loaded <= hashed, sorted(loaded - hashed)
+
     def test_tmp_files_not_counted(self, tmp_path):
         store = PersistentSummaryStore(str(tmp_path))
         (tmp_path / ".tmp-abandoned.json").write_text("{}")
