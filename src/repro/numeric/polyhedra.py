@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro import kernels
 from repro.numeric.linexpr import EQ, GE, Coeff, Constraint, LinExpr
@@ -46,12 +48,14 @@ def cache_stats() -> dict:
         "min_hits": _MIN_CACHE.hits,
         "min_misses": _MIN_CACHE.misses,
         "min_entries": len(_MIN_CACHE),
+        **simplex._SWEEP_COUNTS,
     }
 
 
 def clear_caches() -> None:
     _JOIN_CACHE.clear()
     _MIN_CACHE.clear()
+    simplex._SWEEP_COUNTS.update(dict.fromkeys(simplex._SWEEP_COUNTS, 0))
 
 
 def _direction_of(constraint: Constraint) -> Tuple[Tuple, Coeff]:
@@ -308,26 +312,40 @@ class Polyhedron:
         cons.append(Constraint.le(LinExpr.var(lam), 1))
         combined = Polyhedron(cons)
         eliminate = [lam] + [aux[v] for v in variables]
-        result = combined._project_capped(eliminate, cap=48)
-        if result is None:
+        projected = combined._project_capped(eliminate, cap=48)
+        if projected is None:
             return None
-        return result.minimized()
+        result, known = projected
+        return result.minimized(known)
 
     def _project_capped(
         self, variables: List[str], cap: int
-    ) -> Optional["Polyhedron"]:
-        """Projection that gives up (returns None) on FM blowup."""
+    ) -> Optional[Tuple["Polyhedron", Set[Constraint]]]:
+        """Projection that gives up (returns None) on FM blowup.
+
+        Returns the projection and the rows of it known to be
+        irredundant: those the last cap sweep kept and that no later
+        elimination touched.  A kept row is not entailed by the other
+        kept rows, so some point violates it alone.  An elimination
+        builds each new row from rows that mention its variable, so the
+        point with that variable dropped satisfies them and still
+        violates only the untouched row.  That needs a feasible system,
+        as a hull join's is (both operands are non-empty).
+        """
         cons = list(self.constraints)
+        known: Set[Constraint] = set()
         for var in variables:
             cons = _eliminate(cons, var)
             if cons is None:
-                return _BOTTOM
+                return _BOTTOM, set()
+            known = {c for c in known if var not in c.expr.coeffs}
             if len(cons) > cap:
-                cons = Polyhedron(cons).minimized().constraints
+                cons = Polyhedron(cons).minimized(known).constraints
                 if len(cons) > cap:
                     return None
+                known = set(cons)
                 cons = list(cons)
-        return Polyhedron(cons)
+        return Polyhedron(cons), known
 
     def _weak_join(self, other: "Polyhedron") -> "Polyhedron":
         candidates: List[Constraint] = list(
@@ -407,8 +425,13 @@ class Polyhedron:
         with_def = self.meet_constraints([Constraint.eq(LinExpr.var(fresh), expr)])
         return with_def.project([var]).rename({fresh: var})
 
-    def minimized(self) -> "Polyhedron":
-        """Drop semantically redundant constraints."""
+    def minimized(self, known: AbstractSet[Constraint] = frozenset()) -> "Polyhedron":
+        """Drop semantically redundant constraints.
+
+        ``known``: constraints that the others do not entail (see
+        ``_project_capped``); the fast-kernel sweeps keep them without
+        an LP.  The result does not depend on it.
+        """
         if self._bottom is True:
             return _BOTTOM
         cons = list(self.constraints)
@@ -419,23 +442,22 @@ class Polyhedron:
             cached = _MIN_CACHE.get(mkey)
             if cached is not None:
                 return cached
-        result = None
-        if kernels.FAST and len(cons) > simplex._INT_DIRECT_MAX:
-            # Large sweeps share one warm-started LP model instead of
-            # building a model per entailment check.
-            kept = simplex.minimize_constraints(cons)
-            if kept is not None:
-                result = Polyhedron(kept)
-        if result is None:
-            kept = []
-            for i, c in enumerate(cons):
-                rest = kept + cons[i + 1 :]
-                if not simplex.entails(rest, c, assume_feasible=True):
-                    kept.append(c)
+            kept = None
+            if len(cons) > simplex._INT_DIRECT_MAX:
+                # Large sweeps share one warm-started LP model instead of
+                # building a model per entailment check.
+                kept = simplex.minimize_constraints(cons, known)
+            if kept is None:
+                kept = simplex.minimize_exact(cons, known)
             result = Polyhedron(kept)
-        if kernels.FAST:
             _MIN_CACHE.put(mkey, result)
-        return result
+            return result
+        kept = []
+        for i, c in enumerate(cons):
+            rest = kept + cons[i + 1 :]
+            if not simplex.entails(rest, c, assume_feasible=True):
+                kept.append(c)
+        return Polyhedron(kept)
 
     def equalities(self) -> List[Constraint]:
         return [c for c in self.constraints if c.rel == EQ]

@@ -606,10 +606,15 @@ def _highs_solve(
     cost: dict,
     sense: float = 1.0,
     options: Optional[Mapping[str, int]] = None,
+    margin: bool = False,
 ) -> Optional[tuple]:
     """One HiGHS model of ``constraints`` (free columns numbered by
     ``index``, objective ``sense * cost``, HiGHS ``options`` on top of
     the defaults), solved once.
+
+    With ``margin`` the model has one more column ``t``, numbered
+    ``len(index)``, bounded to ``[0, 1]`` and subtracted from every GE
+    row, and the objective maximizes ``t`` (``cost`` should be empty).
 
     Returns ``(solver, lower, upper)`` with the row bounds, or None when
     a coefficient does not fit a float, a matrix coefficient lies outside
@@ -619,19 +624,27 @@ def _highs_solve(
     """
     core = _highs_core
     inf = core.kHighsInf
-    n = len(index)
+    n = len(index) + margin
     starts = [0]
     idx: List[int] = []
     vals: List[float] = []
     lower: List[float] = []
     upper: List[float] = []
     col_cost = [0.0] * n
+    col_lower = _np.full(n, -inf)
+    col_upper = _np.full(n, inf)
+    if margin:
+        col_cost[-1] = -1.0
+        col_lower[-1], col_upper[-1] = 0.0, 1.0
     try:
         for c in constraints:
             row, const = c.float_row()
             for var, k in row:
                 idx.append(index[var])
                 vals.append(k)
+            if margin and c.rel == GE:
+                idx.append(n - 1)
+                vals.append(-1.0)
             starts.append(len(idx))
             lower.append(-const)
             upper.append(-const if c.rel == EQ else inf)
@@ -649,8 +662,8 @@ def _highs_solve(
         lp.num_col_ = n
         lp.num_row_ = len(constraints)
         lp.col_cost_ = _np.asarray(col_cost, dtype=float)
-        lp.col_lower_ = _np.full(n, -inf)
-        lp.col_upper_ = _np.full(n, inf)
+        lp.col_lower_ = col_lower
+        lp.col_upper_ = col_upper
         lp.row_lower_ = _np.asarray(lower, dtype=float)
         lp.row_upper_ = _np.asarray(upper, dtype=float)
         lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
@@ -788,14 +801,16 @@ def entails(
     """
     if candidate.is_trivial():
         return True
-    # Syntactic fast path: the candidate already appears in the system.
-    if candidate in constraints:
-        return True
     if assume_feasible:
         constraints = _connected_subset(constraints, candidate.support())
         if not constraints:
             return False  # feasible system, unconstrained direction
-    sys_key = (frozenset(constraints), candidate)
+    system = frozenset(constraints)
+    # Syntactic fast path: the candidate already appears in the system (a
+    # row equal to it shares its support, so the restriction keeps it).
+    if candidate in system:
+        return True
+    sys_key = (system, candidate)
     cached = _ENTAILS_CACHE.get(sys_key)
     if cached is not None:
         return cached
@@ -827,6 +842,199 @@ def _min_nonnegative(constraints: Sequence[Constraint], expr: LinExpr) -> bool:
     return result.value >= 0
 
 
+# -- redundancy sweeps ----------------------------------------------------
+#
+# A sweep visits a system's rows in order, equalities first (as a
+# ``Polyhedron`` lists them), and drops a row when the rest of the
+# system -- the rows kept so far plus every later row -- entails it.
+# The reference loop in ``Polyhedron.minimized()`` asks the LP about
+# every row; the fast twins below (``minimize_constraints`` on one
+# HiGHS model, ``minimize_exact`` on exact entailments) first let
+# ``_Sweep`` decide the rows it can without an LP.
+
+# How many rows the fast sweeps visit and how many of them each
+# shortcut decides (cumulative per process; ``polyhedra.cache_stats()``
+# reports them and ``polyhedra.clear_caches()`` resets them).
+_SWEEP_COUNTS = dict.fromkeys(
+    ("sweep_rows", "sweep_known", "sweep_dominated", "sweep_eq_rank"), 0
+)
+
+
+def _reduce_mod(coeffs, const, basis):
+    """``(coeffs, const)`` times a positive integer, minus the combination
+    of ``basis`` rows that zeroes every pivot column, divided by its gcd.
+
+    ``basis`` maps each pivot term to an integer equality row
+    ``(coeffs, const)`` that is zero at every other pivot, so one pass
+    in any order reduces the row.  The result is zero at every pivot,
+    which makes it the coset's one representative up to a positive
+    factor.  A row without a pivot term comes back as it is (a
+    constraint's values are coprime already).
+    """
+    reduced = False
+    for p, (bcoeffs, bconst) in basis.items():
+        k = coeffs.get(p)
+        if not k:
+            continue
+        reduced = True
+        a = bcoeffs[p]
+        m, f = (a, k) if a > 0 else (-a, -k)  # m*row - f*b is zero at p
+        work = {v: x * m for v, x in coeffs.items()}
+        for v, x in bcoeffs.items():
+            y = work.get(v, 0) - f * x
+            if y:
+                work[v] = y
+            else:
+                del work[v]
+        coeffs, const = work, const * m - f * bconst
+    if not reduced:
+        return coeffs, const
+    g = gcd(const, *coeffs.values())
+    if g > 1:
+        coeffs = {v: x // g for v, x in coeffs.items()}
+        const //= g
+    return coeffs, const
+
+
+def _eq_basis(eqs: Iterable[Constraint]) -> Optional[dict]:
+    """A basis of the affine span of ``eqs`` for ``_reduce_mod``, built
+    by fraction-free elimination; None when the equalities are
+    inconsistent (a combination of them reads ``c = 0``, ``c != 0``)."""
+    basis: dict = {}
+    for e in eqs:
+        coeffs, const = _reduce_mod(e.expr.coeffs, e.expr.const, basis)
+        if not coeffs:
+            if const:
+                return None
+            continue
+        p = min(coeffs)
+        new = {p: (coeffs, const)}
+        for q, (bcoeffs, bconst) in basis.items():
+            if p in bcoeffs:
+                basis[q] = _reduce_mod(bcoeffs, bconst, new)
+        basis[p] = (coeffs, const)
+    return basis
+
+
+class _Sweep:
+    """The rows of one fast-kernel sweep over ``cons`` decided without
+    an LP, each with the verdict the entailment check would give.
+
+    - A row of ``known`` is kept: the caller vouches that the rest of
+      ``cons`` does not entail it (see ``Polyhedron._project_capped``).
+    - At the first GE row every equality has been decided.  Each GE row
+      is reduced modulo the span of the kept equalities, which stay in
+      the rest of every later query.  A GE row is dropped when its
+      reduced form is a valid constant (the equalities entail it), or
+      is parallel to, and no tighter than, the reduced form of a GE row
+      still in the system: a later row, or an earlier one that was kept
+      (``keep``).  The GE rows a later row dominates are dropped
+      whatever happens before their turn (``doomed``).  The check needs
+      consistent equalities; on an infeasible system whose equalities
+      are consistent, the rows it uses all lie in the candidate's
+      component, so it also agrees with the component-restricted check.
+    - ``eq_rank``: once a probe has shown a point where every GE row
+      holds strictly, an equality is entailed exactly when it lies in
+      the affine span of the other equalities still in the system.
+
+    Rows it cannot decide (``None``) go to the LP.
+    """
+
+    __slots__ = ("cons", "known", "first_ge", "keys", "best", "doomed")
+
+    def __init__(self, cons: Sequence[Constraint], known):
+        self.cons = cons
+        self.known = known
+        self.first_ge = next(
+            (i for i, c in enumerate(cons) if c.rel == GE), len(cons)
+        )
+        self.keys: dict = {}  # GE row -> (reduced direction, effective const)
+        self.best: dict = {}  # direction -> tightest const among kept rows
+        self.doomed: frozenset = frozenset()
+        _SWEEP_COUNTS["sweep_rows"] += len(cons)
+
+    def verdict(self, i: int, kept: Sequence[Constraint]) -> Optional[bool]:
+        """Keep (True) or drop (False) row ``i`` without an LP, or None;
+        ``kept`` lists the rows kept so far."""
+        if i == self.first_ge:
+            self._screen(kept)
+        if self.cons[i] in self.known:
+            _SWEEP_COUNTS["sweep_known"] += 1
+            return True
+        direction, eff = self.keys.get(i, (None, None))
+        best = self.best.get(direction)
+        if i in self.doomed or (best is not None and best <= eff):
+            _SWEEP_COUNTS["sweep_dominated"] += 1
+            return False
+        return None
+
+    def keep(self, i: int) -> None:
+        """Record that row ``i`` was kept."""
+        direction, eff = self.keys.get(i, (None, None))
+        best = self.best.get(direction)
+        if direction is not None and (best is None or eff < best):
+            self.best[direction] = eff
+
+    def _screen(self, eqs: Sequence[Constraint]) -> None:
+        if not eqs:
+            return  # no two GE rows of a Polyhedron are parallel
+        basis = _eq_basis(eqs)
+        if basis is None:
+            return
+        later: dict = {}  # direction -> tightest const among later rows
+        doomed = set()
+        for i in range(len(self.cons) - 1, self.first_ge - 1, -1):
+            expr = self.cons[i].expr
+            coeffs, const = _reduce_mod(expr.coeffs, expr.const, basis)
+            if not coeffs:
+                if const >= 0:
+                    doomed.add(i)
+                continue
+            g = gcd(*coeffs.values())
+            direction = tuple(sorted((v, k // g) for v, k in coeffs.items()))
+            eff = Fraction(const, g) if g > 1 else const
+            self.keys[i] = (direction, eff)
+            best = later.get(direction)
+            if best is not None and best <= eff:
+                doomed.add(i)
+            else:
+                later[direction] = eff
+        self.doomed = frozenset(doomed)
+
+    def eq_rank(self, i: int, kept: Sequence[Constraint]) -> Optional[bool]:
+        """Keep equality ``i`` unless the other equalities still in the
+        system span it.  Valid only after a positive max-slack probe."""
+        others = [c for c in kept if c.rel == EQ]
+        others += [c for c in self.cons[i + 1:] if c.rel == EQ]
+        basis = _eq_basis(others)
+        if basis is None:
+            return None
+        _SWEEP_COUNTS["sweep_eq_rank"] += 1
+        expr = self.cons[i].expr
+        coeffs, const = _reduce_mod(expr.coeffs, expr.const, basis)
+        return bool(coeffs or const)
+
+
+def minimize_exact(
+    cons: Sequence[Constraint], known=frozenset()
+) -> List[Constraint]:
+    """The fast-kernel exact sweep: the reference loop of
+    ``Polyhedron.minimized()``, with the rows that ``_Sweep`` decides
+    taken out of it.  ``known``: rows the rest of ``cons`` does not
+    entail."""
+    cons = list(cons)
+    sweep = _Sweep(cons, known)
+    kept: List[Constraint] = []
+    for i, c in enumerate(cons):
+        keep = sweep.verdict(i, kept)
+        if keep is None:
+            keep = not entails(kept + cons[i + 1:], c, assume_feasible=True)
+        if keep:
+            kept.append(c)
+            sweep.keep(i)
+    return kept
+
+
 # HiGHS settings of the redundancy sweep's shared model.  Between solves
 # the sweep frees a row and swaps the objective; both edits leave the last
 # basis primal feasible, so primal simplex restarts from it where the
@@ -837,7 +1045,7 @@ _SWEEP_OPTIONS = {"simplex_strategy": 4, "simplex_scale_strategy": 0}
 
 
 def minimize_constraints(
-    cons: Sequence[Constraint],
+    cons: Sequence[Constraint], known=frozenset()
 ) -> Optional[List[Constraint]]:
     """Batch redundancy elimination over one shared float-LP model.
 
@@ -847,13 +1055,26 @@ def minimize_constraints(
     expression over ONE HiGHS model that is modified and warm-started
     between queries -- large sweeps pay the model build once instead of
     per check.  Dropped rows stay deactivated, so query ``i`` sees
-    exactly ``kept + cons[i+1:]``, the reference's ``rest``.
+    exactly ``kept + cons[i+1:]``, the reference's ``rest``, less rows
+    that rest entails.
 
-    Clear-margin float verdicts decide directly (the ``_margin_verdict``
-    policy of ``_min_nonnegative``); ambiguous ones delegate to
-    :func:`entails` on the reference path.  Returns the kept list, or
-    None when the shared model cannot be built or misbehaves -- the
-    caller then runs the reference loop.
+    The model is first solved as a max-slack probe: one more column
+    ``t`` in ``[0, 1]`` is subtracted from every GE row and maximized,
+    then fixed to 0 for the sweep.  An infeasible probe means an
+    infeasible system, which needs the reference path (its
+    component-restricted entailment can answer differently than the
+    whole-system LP would).  A probe value above ``_CLEAR`` shows that
+    no GE row is an implicit equality, and lets ``_Sweep.eq_rank``
+    decide the equalities by rank.
+
+    Rows ``_Sweep`` decides take no LP: ``known`` rows stay active,
+    and the GE rows a later row dominates are freed up front, before
+    the first GE query.  For the others, clear-margin float verdicts
+    decide directly (the ``_margin_verdict`` policy of
+    ``_min_nonnegative``); ambiguous ones delegate to :func:`entails` on
+    the reference path.  Returns the kept list, or None when the shared
+    model cannot be built or misbehaves -- the caller then runs the
+    exact loop.
     """
     if _highs_core is None:
         return None
@@ -862,15 +1083,17 @@ def minimize_constraints(
     if not index:
         return None
     inf = _highs_core.kHighsInf
-    # Built with a zero objective, so this first solve is a feasibility
-    # probe: an infeasible system needs the reference path (its
-    # component-restricted entailment can answer differently than the
-    # whole-system LP would).
-    model = _highs_solve(cons, index, {}, options=_SWEEP_OPTIONS)
+    model = _highs_solve(cons, index, {}, options=_SWEEP_OPTIONS, margin=True)
     if model is None:
         return None
     solver, lower, upper = model
     if solver.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
+        return None
+    interior = -solver.getObjectiveValue() > _CLEAR
+    try:
+        solver.changeColCost(len(index), 0.0)
+        solver.changeColBounds(len(index), 0.0, 0.0)
+    except Exception:  # pragma: no cover - solver hiccup
         return None
 
     obj_cols: List[int] = []
@@ -891,22 +1114,34 @@ def minimize_constraints(
 
     kept: List[Constraint] = []
     cons = list(cons)
+    sweep = _Sweep(cons, known)
     for i, c in enumerate(cons):
+        keep = sweep.verdict(i, kept)
+        if keep is None and interior and c.rel == EQ:
+            keep = sweep.eq_rank(i, kept)
         try:
-            solver.changeRowBounds(i, -inf, inf)
+            if i == sweep.first_ge:
+                for j in sweep.doomed:
+                    solver.changeRowBounds(j, -inf, inf)
+            if not keep:
+                solver.changeRowBounds(i, -inf, inf)
         except Exception:  # pragma: no cover
             return None
-        row, const = c.float_row()  # fits a float: it built the model
-        verdict = _margin_verdict(float_min(row, const))
-        if verdict is True and c.rel == EQ:
-            negated = [(var, -k) for var, k in row]
-            verdict = _margin_verdict(float_min(negated, -const))
-        if verdict is None:  # ambiguous: decide exactly as the reference
-            verdict = entails(kept + cons[i + 1:], c, assume_feasible=True)
-        if not verdict:
+        if keep is None:
+            row, const = c.float_row()  # fits a float: it built the model
+            entailed = _margin_verdict(float_min(row, const))
+            if entailed is True and c.rel == EQ:
+                negated = [(var, -k) for var, k in row]
+                entailed = _margin_verdict(float_min(negated, -const))
+            if entailed is None:  # ambiguous: decide exactly as the reference
+                entailed = entails(kept + cons[i + 1:], c, assume_feasible=True)
+            keep = not entailed
+            if keep:
+                try:
+                    solver.changeRowBounds(i, lower[i], upper[i])
+                except Exception:  # pragma: no cover
+                    return None
+        if keep:
             kept.append(c)
-            try:
-                solver.changeRowBounds(i, lower[i], upper[i])
-            except Exception:  # pragma: no cover
-                return None
+            sweep.keep(i)
     return kept

@@ -442,3 +442,198 @@ class TestDirectionKeys:
                     assert (eff1 < eff2) == (old1[1] < old2[1])
                     assert (eff1 <= eff2) == simplex.entails([c1], c2)
         assert shared > len(pool)  # some families have several members
+
+
+# -- LP-free verdicts of the fast redundancy sweeps ------------------------
+
+_SWEEP_VARS = [f"x{i}" for i in range(8)]
+
+
+def _sweep_system(rng):
+    """A random constraint list for ``minimized()`` and what it covers.
+
+    Equalities hold at a random integer point.  GE rows are random rows
+    that hold there, rows equal to a positive multiple of an earlier GE
+    row plus a multiple of an equality, with a looser, equal or tighter
+    constant, and pairs ``e >= 0``, ``-e >= 0`` that form an implicit
+    equality (in two systems out of five), sometimes with an explicit
+    equality they entail.  Sizes
+    fall on both sides of ``_INT_DIRECT_MAX``.  About one system in
+    eight is small and made infeasible, by a GE pair or by inconsistent
+    equalities.
+    """
+    names = _SWEEP_VARS[: rng.randint(3, 6)]
+    point = {n: rng.randint(-3, 3) for n in names}
+
+    def at_point(low, high):
+        picked = rng.sample(names, rng.randint(low, high))
+        e = LinExpr({n: rng.choice([-3, -2, -1, 1, 2, 3]) for n in picked})
+        return e - e.evaluate(point)  # zero at the point
+
+    tags = {"infeasible"} if rng.random() < 0.125 else set()
+    pairs = rng.random() < 0.4
+    eqs = [Constraint(at_point(2, 3), EQ) for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+    ges, sides = [], []  # each GE row's ``expr >= 0`` side
+
+    def add_ge(expr):
+        sides.append(expr)
+        ges.append(Constraint(expr, GE))
+
+    if "infeasible" in tags:
+        target = rng.randint(4, 16)
+    else:
+        target = rng.choice([rng.randint(4, 20), rng.randint(21, 36)])
+    while len(Polyhedron(eqs + ges).constraints) < target:
+        roll = rng.random()
+        if eqs and sides and roll < 0.35:
+            base = rng.choice(sides).scale(rng.randint(1, 3))
+            shift = rng.choice([-1, 0, 0, 1, 2] if base.evaluate(point) > 0 else [0, 1])
+            tags.add({-1: "tighter", 0: "equal"}.get(shift, "looser"))
+            add_ge(base + rng.choice(eqs).expr.scale(rng.choice([-2, -1, 1, 2])) + shift)
+        elif pairs and roll < 0.45:
+            tags.add("implicit")
+            e = at_point(1, 2)
+            add_ge(e)
+            add_ge(-e)
+            if rng.random() < 0.5:
+                tags.add("entailed_eq")
+                extra = rng.choice(eqs).expr.scale(rng.randint(1, 2)) if eqs else 0
+                eqs.append(Constraint(e + extra, EQ))
+        else:
+            add_ge(at_point(1, 3) + rng.randint(0, 3))
+    if "infeasible" in tags:
+        e = at_point(1, 2)
+        if rng.random() < 0.5:
+            ges += [Constraint(e - 1, GE), Constraint(-e, GE)]
+        else:
+            eqs += [Constraint(e, EQ), Constraint(e + 1, EQ)]
+    cons = eqs + ges
+    tags.add("large" if len(Polyhedron(cons).constraints) > simplex._INT_DIRECT_MAX else "small")
+    if eqs:
+        tags.add("eqs")
+    return cons, tags
+
+
+def test_fast_sweeps_match_the_reference_loop(monkeypatch):
+    """The fast ``minimized()`` (LP-free verdicts, HiGHS or exact) keeps
+    the very tuple the reference loop keeps, on 420 seeded systems.
+
+    Where the two differ, the reference loop runs again exact-only and
+    decides: HiGHS's presolve can report an unbounded LP as infeasible,
+    and the reference's float pre-pass then takes a candidate for
+    entailed.  That happens on a few systems, before the LP-free
+    verdicts as well.  Without HiGHS every size takes the same exact
+    loop, and the exact reference takes seconds on each large system,
+    so only systems up to ``_INT_DIRECT_MAX`` rows are compared."""
+    from repro import kernels
+
+    rng = random.Random(20170118)
+    seen = {}
+    decided = dict.fromkeys(("sweep_dominated", "sweep_eq_rank"), 0)
+    rechecked = 0
+    try:
+        for _ in range(420):
+            cons, tags = _sweep_system(rng)
+            for tag in tags:
+                seen[tag] = seen.get(tag, 0) + 1
+            if simplex._highs_core is None and "large" in tags:
+                continue
+            kernels.set_mode("fast")
+            polyhedra.clear_caches()
+            fast = Polyhedron(cons).minimized().constraints
+            for key in decided:
+                decided[key] += polyhedra.cache_stats()[key]
+            kernels.set_mode("reference")
+            reference = Polyhedron(cons).minimized().constraints
+            if fast != reference:
+                rechecked += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(simplex, "_highs_core", None)
+                    kernels.set_mode("reference")
+                    reference = Polyhedron(cons).minimized().constraints
+            assert fast == reference, cons
+    finally:
+        kernels.set_mode("fast")
+    assert rechecked <= 5
+    assert all(seen.get(tag, 0) >= 30 for tag in (
+        "eqs", "looser", "equal", "tighter", "implicit", "entailed_eq",
+        "large", "small", "infeasible",
+    )), seen
+    assert decided["sweep_dominated"] >= 50, decided
+    if simplex._highs_core is not None:
+        assert decided["sweep_eq_rank"] >= 30, decided
+
+
+def test_rows_handed_on_as_known_are_irredundant(monkeypatch):
+    """Along random elimination chains with a small cap, every row that
+    ``_project_capped`` hands on as known irredundant -- to a cap sweep
+    or with its result -- is in the list it goes with, and the rest of
+    that list does not entail it."""
+    chain = []
+    minimized = Polyhedron.minimized
+
+    def recording(self, known=frozenset()):
+        result = minimized(self, known)
+        chain.append((self.constraints, frozenset(known), result.constraints))
+        return result
+
+    monkeypatch.setattr(Polyhedron, "minimized", recording)
+    rng = random.Random(5)
+    checked = touched = 0
+    for _ in range(300):
+        names = _SWEEP_VARS[: rng.randint(5, 7)]
+        point = {n: rng.randint(-3, 3) for n in names}
+        cons = []
+        for _ in range(rng.randint(10, 16)):
+            picked = rng.sample(names, rng.randint(1, 3))
+            e = LinExpr({n: rng.choice([-2, -1, 1, 2, 3]) for n in picked})
+            rel = EQ if rng.random() < 0.15 else GE
+            slack = 0 if rel == EQ else rng.randint(0, 3)
+            cons.append(Constraint(e - e.evaluate(point) + slack, rel))
+        del chain[:]
+        order = rng.sample(names, rng.randint(2, 4))
+        projected = Polyhedron(cons)._project_capped(order, cap=rng.randint(6, 10))
+        if projected is None:
+            continue
+        handed = [(rows, known) for rows, known, _ in chain]
+        handed.append((projected[0].constraints, frozenset(projected[1])))
+        for rows, known in handed:
+            assert known <= set(rows)
+            for row in known:
+                rest = [c for c in rows if c != row]
+                assert not simplex.entails(rest, row), (rows, row)
+                checked += 1
+        # Kept rows of a cap sweep that a later elimination rewrote.
+        for (_, _, kept), (rows, _) in zip(chain, handed[1:]):
+            touched += len(set(kept) - set(rows))
+    assert checked >= 300 and touched >= 100, (checked, touched)
+
+
+def test_sweep_counters_count_and_reset():
+    """``cache_stats()`` counts the rows the fast sweeps visit and the
+    ones each shortcut decides; ``clear_caches()`` zeroes them."""
+    from repro import kernels
+
+    keys = ("sweep_rows", "sweep_known", "sweep_dominated", "sweep_eq_rank")
+    with kernels.mode_ctx("fast"):
+        polyhedra.clear_caches()
+        assert {k: polyhedra.cache_stats()[k] for k in keys} == dict.fromkeys(keys, 0)
+        # x + z >= 0 is y + z >= 0 modulo x = y, looser than y + z >= 1.
+        looser = Constraint.ge(v("x") + v("z"), 0)
+        tighter = Constraint.ge(v("y") + v("z"), 1)
+        bound = Constraint.ge(v("z"), -5)
+        p = poly(Constraint.eq(v("x"), v("y")), looser, tighter, bound)
+        assert looser not in p.minimized(known={bound}).constraints
+        stats = polyhedra.cache_stats()
+        assert (stats["sweep_rows"], stats["sweep_known"], stats["sweep_dominated"]) == (4, 1, 1)
+        if simplex._highs_core is not None:
+            # Above _INT_DIRECT_MAX, with an interior point: the three
+            # equalities span a plane, so the first one goes by rank.
+            eqs = [Constraint.eq(v("x"), v("y")), Constraint.eq(v("y"), v("z")),
+                   Constraint.eq(v("x"), v("z"))]
+            box = [Constraint.ge(v(f"u{i}"), -i - 1) for i in range(20)]
+            kept = poly(*eqs, *box).minimized().constraints
+            assert kept == tuple(eqs[1:] + box)
+            assert polyhedra.cache_stats()["sweep_eq_rank"] == 3
+        polyhedra.clear_caches()
+        assert {k: polyhedra.cache_stats()[k] for k in keys} == dict.fromkeys(keys, 0)

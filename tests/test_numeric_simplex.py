@@ -14,7 +14,7 @@ import pytest
 
 from repro import kernels
 from repro.numeric import simplex
-from repro.numeric.linexpr import Constraint, LinExpr
+from repro.numeric.linexpr import EQ, Constraint, LinExpr
 from repro.numeric.polyhedra import Polyhedron
 from repro.numeric.simplex import (
     INFEASIBLE,
@@ -396,3 +396,77 @@ def test_highs_sweep_matches_reference_and_exact(monkeypatch, count):
         kernels.set_mode("fast")
     assert exact == with_highs[::8]
     assert any(not feasible for feasible, _ in exact)
+
+
+class _RecordingSolver:
+    """A HiGHS solver that logs row-bound edits and solves."""
+
+    def __init__(self, solver, log):
+        self._solver = solver
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def changeRowBounds(self, row, lower, upper):
+        self._log.append(("bounds", row, lower, upper))
+        return self._solver.changeRowBounds(row, lower, upper)
+
+    def run(self):
+        self._log.append(("run",))
+        return self._solver.run()
+
+
+class _RecordingCore:
+    def __init__(self, core, log):
+        self._core = core
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        return _RecordingSolver(self._core._Highs(), self._log)
+
+
+def test_highs_sweep_queries_see_only_rows_still_in_the_system(monkeypatch):
+    """Every query of the shared HiGHS model after the probe sees the
+    rows kept so far and the later rows, less the GE rows a later row
+    dominates modulo the kept equalities: those are freed before the
+    first GE query."""
+    if simplex._highs_core is None:
+        pytest.skip("HiGHS is not loaded")
+    from tests.test_numeric_polyhedra import _sweep_system
+
+    log = []
+    monkeypatch.setattr(simplex, "_highs_core", _RecordingCore(simplex._highs_core, log))
+    rng = random.Random(11)
+    swept = screened = 0
+    with kernels.mode_ctx("fast"):
+        while swept < 40:
+            raw, tags = _sweep_system(rng)
+            cons = list(Polyhedron(raw).constraints)
+            if "large" not in tags or "infeasible" in tags:
+                continue
+            del log[:]
+            kept = simplex.minimize_constraints(cons)
+            if kept is None:
+                continue
+            swept += 1
+            sweep = simplex._Sweep(cons, frozenset())
+            sweep._screen([c for c in kept if c.rel == EQ])
+            screened += len(sweep.doomed)
+            active = [True] * len(cons)
+            queried = None
+            for event in log[1:]:  # log[0] is the probe
+                if event[0] == "bounds":
+                    _, row, lower, upper = event
+                    active[row] = not (lower == -upper and upper > 1e300)
+                    if not active[row]:
+                        queried = row
+                    continue
+                freed = sweep.doomed if queried >= sweep.first_ge else ()
+                still = {j for j in range(queried + 1, len(cons)) if j not in freed}
+                still |= {j for j in range(queried) if cons[j] in kept}
+                assert {j for j, on in enumerate(active) if on} == still, (cons, queried)
+    assert screened >= 20, screened
