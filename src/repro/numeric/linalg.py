@@ -3,7 +3,8 @@
 Shared by the AM multiset domain (row spaces of multiset equalities) and
 the polyhedra join (affine-hull intersection).  Rows are dicts mapping
 column names to exact rationals (Fraction or int); systems are
-homogeneous.
+homogeneous.  The last section is the polyhedra's integer kernel for
+affine rows (coefficients plus a constant) modulo a set of equalities.
 
 ``rref`` runs fraction-free: each input row is scaled to coprime
 integers (legal because the system is homogeneous -- scaling a row does
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 Row = Dict[str, Fraction]
 
@@ -246,3 +247,83 @@ def insert_row(basis: List[Row], row: Row) -> List[Row]:
     if not placed:
         out.append(work)
     return out
+
+
+# -- affine rows modulo equalities (integer) --------------------------------
+#
+# The polyhedra layer's one reduction of a constraint modulo equalities:
+# rows are ``(coeffs, const)`` pairs of plain ints (a constraint's
+# canonical values), the constant kept apart from the columns.  A pseudo
+# column for it would take part in pivoting and could leave a reduced
+# row that is not its coset's representative.
+
+
+def reduce_mod(coeffs, const, basis):
+    """``(coeffs, const)`` times a positive integer, minus the combination
+    of ``basis`` rows that zeroes every pivot column, divided by its gcd.
+
+    ``basis`` (from :func:`eq_basis`) maps each pivot term to an integer
+    equality row ``(coeffs, const)`` that is zero at every other pivot,
+    so one pass in any order reduces the row.  The result is zero at
+    every pivot, which makes it the coset's one representative up to a
+    positive factor.  A row without a pivot term comes back as it is.
+    """
+    reduced = False
+    for p, (bcoeffs, bconst) in basis.items():
+        k = coeffs.get(p)
+        if not k:
+            continue
+        reduced = True
+        a = bcoeffs[p]
+        m, f = (a, k) if a > 0 else (-a, -k)  # m*row - f*b is zero at p
+        work = {v: x * m for v, x in coeffs.items()}
+        for v, x in bcoeffs.items():
+            y = work.get(v, 0) - f * x
+            if y:
+                work[v] = y
+            else:
+                del work[v]
+        coeffs, const = work, const * m - f * bconst
+    if not reduced:
+        return coeffs, const
+    g = gcd(const, *coeffs.values())
+    if g > 1:
+        coeffs = {v: x // g for v, x in coeffs.items()}
+        const //= g
+    return coeffs, const
+
+
+def eq_basis(eqs) -> Optional[dict]:
+    """A basis of the affine span of the equality constraints ``eqs``
+    for :func:`reduce_mod`, built by fraction-free elimination; None
+    when they are inconsistent (a combination reads ``c = 0``, ``c != 0``)."""
+    basis: dict = {}
+    for e in eqs:
+        coeffs, const = reduce_mod(e.expr.coeffs, e.expr.const, basis)
+        if not coeffs:
+            if const:
+                return None
+            continue
+        p = min(coeffs)
+        new = {p: (coeffs, const)}
+        for q, (bcoeffs, bconst) in basis.items():
+            if p in bcoeffs:
+                basis[q] = reduce_mod(bcoeffs, bconst, new)
+        basis[p] = (coeffs, const)
+    return basis
+
+
+def direction_key(coeffs, const):
+    """``(direction, effective constant)`` of the GE row ``coeffs . x +
+    const >= 0`` with integer values and at least one coefficient.
+
+    The direction is the primitive coefficient vector (divided by the
+    coefficients' gcd ``g``), sorted by term, and the effective constant
+    is ``const / g``.  Two rows share a direction exactly when one is a
+    positive multiple of the other up to the constant, and the one with
+    the smaller effective constant entails the other.
+    """
+    g = gcd(*coeffs.values())
+    if g == 1:
+        return tuple(sorted(coeffs.items())), const
+    return tuple(sorted((v, k // g) for v, k in coeffs.items())), Fraction(const, g)

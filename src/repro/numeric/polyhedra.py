@@ -15,12 +15,12 @@ substitution.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import (
     AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro import kernels
+from repro.numeric.linalg import direction_key, eq_basis, reduce_mod
 from repro.numeric.linexpr import EQ, GE, Coeff, Constraint, LinExpr
 from repro.numeric import simplex
 
@@ -59,28 +59,9 @@ def clear_caches() -> None:
 
 
 def _direction_of(constraint: Constraint) -> Tuple[Tuple, Coeff]:
-    """Canonical (coefficient-direction key, effective constant) of a GE
-    constraint.
-
-    The key is the primitive integer coefficient vector (the coefficients
-    divided by their gcd ``g``) and the effective constant is
-    ``const / g``.  Two GE constraints share a key exactly when their
-    coefficient vectors are positive multiples of each other, and the one
-    with the smaller effective constant is the tighter.
-    """
-    if constraint._dir is not None:
-        return constraint._dir
-    expr = constraint.expr
-    items = sorted(expr.coeffs.items())
-    g = gcd(*expr.coeffs.values())
-    const = expr.const
-    if g == 1:
-        constraint._dir = (tuple(items), const)
-    else:
-        constraint._dir = (
-            tuple((v, k // g) for v, k in items),
-            Fraction(const, g),
-        )
+    """``linalg.direction_key`` of a GE constraint, cached on it."""
+    if constraint._dir is None:
+        constraint._dir = direction_key(constraint.expr.coeffs, constraint.expr.const)
     return constraint._dir
 
 
@@ -92,8 +73,7 @@ class Polyhedron:
         "_bottom",
         "_feasible",
         "_entail_cache",
-        "_eq_basis",
-        "_ges",
+        "_screen",
     )
 
     def __init__(self, constraints: Iterable[Constraint] = (), bottom: bool = False):
@@ -131,8 +111,7 @@ class Polyhedron:
                 self._bottom = None if kept else False
         self._feasible: Optional[bool] = None
         self._entail_cache: Dict[Constraint, bool] = {}
-        self._eq_basis = None
-        self._ges = None
+        self._screen = None
 
     # -- constructors ----------------------------------------------------
 
@@ -170,43 +149,34 @@ class Polyhedron:
         return frozenset(out)
 
     def _gauss_prescreen(self, candidate: Constraint) -> Optional[bool]:
-        """Decide entailment by reduction against the equality basis.
+        """Decide entailment modulo the equalities, or None (the LP
+        decides).  Only valid on feasible polyhedra.
 
-        Complete for equality consequences of equalities; for inequalities
-        it answers True when the reduced form matches a stored inequality
-        (or is trivially valid).  Returns None when undecided -- the LP
-        handles those.  Only valid on feasible polyhedra.
+        The candidate is reduced modulo the equalities' span.  A constant
+        ``k`` decides it: an equality holds iff ``k == 0``, a GE row iff
+        ``k >= 0``.  A GE candidate is also entailed when its reduced
+        form is parallel to, and no weaker than, a GE row's.
         """
-        from repro.numeric.linalg import reduce_against
-
-        if self._eq_basis is None:
-            from repro.numeric.linalg import rref
-
-            rows = []
+        if self._screen is None:
+            # Consistent: the polyhedron is feasible.
+            basis = eq_basis(self.equalities())
+            best: Dict[Tuple, Coeff] = {}  # direction -> tightest const
             for c in self.constraints:
-                if c.rel == EQ:
-                    row = dict(c.expr.coeffs)
-                    if c.expr.const != 0:
-                        row[_CONST] = c.expr.const
-                    rows.append(row)
-            columns = sorted(set().union(set(), *rows))
-            self._eq_basis = (rref(rows, columns), columns)
-            self._ges = {c for c in self.constraints if c.rel == GE}
-        basis, columns = self._eq_basis
-        row = dict(candidate.expr.coeffs)
-        if candidate.expr.const != 0:
-            row[_CONST] = candidate.expr.const
-        if basis:
-            # extend columns with any new variables (they reduce trivially)
-            cols = columns + [v for v in row if v not in columns]
-            row = reduce_against(row, basis, cols)
-        const = row.pop(_CONST, Fraction(0))
-        if not row:
-            if candidate.rel == EQ:
-                return const == 0
-            return True if const >= 0 else None
+                if c.rel == GE:
+                    coeffs, const = reduce_mod(c.expr.coeffs, c.expr.const, basis)
+                    if coeffs:
+                        direction, eff = direction_key(coeffs, const)
+                        if direction not in best or eff < best[direction]:
+                            best[direction] = eff
+            self._screen = (basis, best)
+        basis, best = self._screen
+        coeffs, const = reduce_mod(candidate.expr.coeffs, candidate.expr.const, basis)
+        if not coeffs:
+            return const == 0 if candidate.rel == EQ else const >= 0
         if candidate.rel == GE:
-            if Constraint(LinExpr(row, const), GE) in self._ges:
+            direction, eff = direction_key(coeffs, const)
+            tightest = best.get(direction)
+            if tightest is not None and tightest <= eff:
                 return True
         return None
 
@@ -429,7 +399,7 @@ class Polyhedron:
         """Drop semantically redundant constraints.
 
         ``known``: constraints that the others do not entail (see
-        ``_project_capped``); the fast-kernel sweeps keep them without
+        ``_project_capped``); the fast-kernel sweep keeps them without
         an LP.  The result does not depend on it.
         """
         if self._bottom is True:
@@ -442,14 +412,7 @@ class Polyhedron:
             cached = _MIN_CACHE.get(mkey)
             if cached is not None:
                 return cached
-            kept = None
-            if len(cons) > simplex._INT_DIRECT_MAX:
-                # Large sweeps share one warm-started LP model instead of
-                # building a model per entailment check.
-                kept = simplex.minimize_constraints(cons, known)
-            if kept is None:
-                kept = simplex.minimize_exact(cons, known)
-            result = Polyhedron(kept)
+            result = Polyhedron(simplex.minimize_constraints(cons, known))
             _MIN_CACHE.put(mkey, result)
             return result
         kept = []

@@ -32,6 +32,7 @@ from math import gcd
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import kernels
+from repro.numeric.linalg import direction_key, eq_basis, reduce_mod
 from repro.numeric.linexpr import EQ, GE, Constraint, LinExpr
 
 try:  # the HiGHS bindings take numpy arrays
@@ -693,6 +694,14 @@ def _highs_outcome(
     statuses = _highs_core.HighsModelStatus
     status = solver.getModelStatus()
     if status == statuses.kInfeasible:
+        # HiGHS's presolve can report a feasible, unbounded LP as
+        # infeasible: solve again without it and take that status.
+        presolve = _highs_option(solver, "presolve")
+        solver.setOptionValue("presolve", "off")
+        solver.run()
+        status = solver.getModelStatus()
+        solver.setOptionValue("presolve", presolve)
+    if status == statuses.kInfeasible:
         return (INFEASIBLE, 0.0)
     if status == statuses.kUnbounded:
         return (UNBOUNDED, 0.0)
@@ -723,7 +732,10 @@ def _float_lp(
     model = _highs_solve(constraints, index, objective.coeffs, sense)
     if model is None:
         return None
-    return _highs_outcome(model[0], sense, offset)
+    try:
+        return _highs_outcome(model[0], sense, offset)
+    except Exception:  # pragma: no cover - solver hiccup
+        return None
 
 
 def _margin_verdict(result: Optional[Tuple[str, float]]) -> Optional[bool]:
@@ -842,78 +854,22 @@ def _min_nonnegative(constraints: Sequence[Constraint], expr: LinExpr) -> bool:
     return result.value >= 0
 
 
-# -- redundancy sweeps ----------------------------------------------------
+# -- the redundancy sweep -------------------------------------------------
 #
 # A sweep visits a system's rows in order, equalities first (as a
 # ``Polyhedron`` lists them), and drops a row when the rest of the
 # system -- the rows kept so far plus every later row -- entails it.
 # The reference loop in ``Polyhedron.minimized()`` asks the LP about
-# every row; the fast twins below (``minimize_constraints`` on one
-# HiGHS model, ``minimize_exact`` on exact entailments) first let
-# ``_Sweep`` decide the rows it can without an LP.
+# every row.  The fast-kernel sweep, ``minimize_constraints``, first lets
+# ``_Sweep`` decide the rows it can without an LP, then asks one shared
+# HiGHS model (``_SweepModel``), then the exact entailment check.
 
-# How many rows the fast sweeps visit and how many of them each
+# How many rows the fast sweep visits and how many of them each
 # shortcut decides (cumulative per process; ``polyhedra.cache_stats()``
 # reports them and ``polyhedra.clear_caches()`` resets them).
 _SWEEP_COUNTS = dict.fromkeys(
     ("sweep_rows", "sweep_known", "sweep_dominated", "sweep_eq_rank"), 0
 )
-
-
-def _reduce_mod(coeffs, const, basis):
-    """``(coeffs, const)`` times a positive integer, minus the combination
-    of ``basis`` rows that zeroes every pivot column, divided by its gcd.
-
-    ``basis`` maps each pivot term to an integer equality row
-    ``(coeffs, const)`` that is zero at every other pivot, so one pass
-    in any order reduces the row.  The result is zero at every pivot,
-    which makes it the coset's one representative up to a positive
-    factor.  A row without a pivot term comes back as it is (a
-    constraint's values are coprime already).
-    """
-    reduced = False
-    for p, (bcoeffs, bconst) in basis.items():
-        k = coeffs.get(p)
-        if not k:
-            continue
-        reduced = True
-        a = bcoeffs[p]
-        m, f = (a, k) if a > 0 else (-a, -k)  # m*row - f*b is zero at p
-        work = {v: x * m for v, x in coeffs.items()}
-        for v, x in bcoeffs.items():
-            y = work.get(v, 0) - f * x
-            if y:
-                work[v] = y
-            else:
-                del work[v]
-        coeffs, const = work, const * m - f * bconst
-    if not reduced:
-        return coeffs, const
-    g = gcd(const, *coeffs.values())
-    if g > 1:
-        coeffs = {v: x // g for v, x in coeffs.items()}
-        const //= g
-    return coeffs, const
-
-
-def _eq_basis(eqs: Iterable[Constraint]) -> Optional[dict]:
-    """A basis of the affine span of ``eqs`` for ``_reduce_mod``, built
-    by fraction-free elimination; None when the equalities are
-    inconsistent (a combination of them reads ``c = 0``, ``c != 0``)."""
-    basis: dict = {}
-    for e in eqs:
-        coeffs, const = _reduce_mod(e.expr.coeffs, e.expr.const, basis)
-        if not coeffs:
-            if const:
-                return None
-            continue
-        p = min(coeffs)
-        new = {p: (coeffs, const)}
-        for q, (bcoeffs, bconst) in basis.items():
-            if p in bcoeffs:
-                basis[q] = _reduce_mod(bcoeffs, bconst, new)
-        basis[p] = (coeffs, const)
-    return basis
 
 
 class _Sweep:
@@ -978,22 +934,19 @@ class _Sweep:
     def _screen(self, eqs: Sequence[Constraint]) -> None:
         if not eqs:
             return  # no two GE rows of a Polyhedron are parallel
-        basis = _eq_basis(eqs)
+        basis = eq_basis(eqs)
         if basis is None:
             return
         later: dict = {}  # direction -> tightest const among later rows
         doomed = set()
         for i in range(len(self.cons) - 1, self.first_ge - 1, -1):
             expr = self.cons[i].expr
-            coeffs, const = _reduce_mod(expr.coeffs, expr.const, basis)
+            coeffs, const = reduce_mod(expr.coeffs, expr.const, basis)
             if not coeffs:
                 if const >= 0:
                     doomed.add(i)
                 continue
-            g = gcd(*coeffs.values())
-            direction = tuple(sorted((v, k // g) for v, k in coeffs.items()))
-            eff = Fraction(const, g) if g > 1 else const
-            self.keys[i] = (direction, eff)
+            direction, eff = self.keys[i] = direction_key(coeffs, const)
             best = later.get(direction)
             if best is not None and best <= eff:
                 doomed.add(i)
@@ -1006,33 +959,13 @@ class _Sweep:
         system span it.  Valid only after a positive max-slack probe."""
         others = [c for c in kept if c.rel == EQ]
         others += [c for c in self.cons[i + 1:] if c.rel == EQ]
-        basis = _eq_basis(others)
+        basis = eq_basis(others)
         if basis is None:
             return None
         _SWEEP_COUNTS["sweep_eq_rank"] += 1
         expr = self.cons[i].expr
-        coeffs, const = _reduce_mod(expr.coeffs, expr.const, basis)
+        coeffs, const = reduce_mod(expr.coeffs, expr.const, basis)
         return bool(coeffs or const)
-
-
-def minimize_exact(
-    cons: Sequence[Constraint], known=frozenset()
-) -> List[Constraint]:
-    """The fast-kernel exact sweep: the reference loop of
-    ``Polyhedron.minimized()``, with the rows that ``_Sweep`` decides
-    taken out of it.  ``known``: rows the rest of ``cons`` does not
-    entail."""
-    cons = list(cons)
-    sweep = _Sweep(cons, known)
-    kept: List[Constraint] = []
-    for i, c in enumerate(cons):
-        keep = sweep.verdict(i, kept)
-        if keep is None:
-            keep = not entails(kept + cons[i + 1:], c, assume_feasible=True)
-        if keep:
-            kept.append(c)
-            sweep.keep(i)
-    return kept
 
 
 # HiGHS settings of the redundancy sweep's shared model.  Between solves
@@ -1044,103 +977,123 @@ def minimize_exact(
 _SWEEP_OPTIONS = {"simplex_strategy": 4, "simplex_scale_strategy": 0}
 
 
+class _SweepModel:
+    """The float-LP model one sweep over ``cons`` shares between its
+    queries: one HiGHS model, modified and warm-started between solves,
+    so a large sweep pays the model build once instead of per query.
+
+    It is first solved as a max-slack probe: one more column ``t`` in
+    ``[0, 1]`` is subtracted from every GE row and maximized, then fixed
+    to 0 for the sweep.  A probe value above ``_CLEAR`` shows that no
+    GE row is an implicit equality (``interior``), which lets
+    ``_Sweep.eq_rank`` decide the equalities by rank.
+
+    A retired model frees nothing and decides nothing.  It retires when
+    it cannot be built, when the probe is not optimal (an infeasible
+    system, where the component-restricted exact check can answer
+    differently than the whole-system LP would), or when a HiGHS call
+    raises.  Up to ``_INT_DIRECT_MAX`` rows there is no model: exact
+    entailment beats the model build there.
+    """
+
+    __slots__ = ("solver", "index", "bounds", "interior", "obj_cols")
+
+    def __init__(self, cons: Sequence[Constraint]):
+        self.solver = None
+        self.interior = False
+        self.obj_cols: List[int] = []
+        if _highs_core is None or len(cons) <= _INT_DIRECT_MAX:
+            return
+        variables = sorted(set().union(*[c.support() for c in cons]))
+        self.index = {v: j for j, v in enumerate(variables)}
+        model = _highs_solve(cons, self.index, {}, options=_SWEEP_OPTIONS, margin=True)
+        if model is None:
+            return
+        solver, lower, upper = model
+        if solver.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
+            return
+        self.bounds = list(zip(lower, upper))
+        self.interior = -solver.getObjectiveValue() > _CLEAR
+        try:
+            solver.changeColCost(len(self.index), 0.0)
+            solver.changeColBounds(len(self.index), 0.0, 0.0)
+        except Exception:  # pragma: no cover - solver hiccup
+            return
+        self.solver = solver
+
+    def set_rows(self, rows: Iterable[int], active: bool) -> None:
+        """Restore ``rows`` to their bounds, or free them (+-inf)."""
+        if self.solver is None:
+            return
+        inf = _highs_core.kHighsInf
+        try:
+            for j in rows:
+                lower, upper = self.bounds[j] if active else (-inf, inf)
+                self.solver.changeRowBounds(j, lower, upper)
+        except Exception:  # pragma: no cover - solver hiccup
+            self.solver = None
+
+    def entailed(self, c: Constraint) -> Optional[bool]:
+        """Whether the active rows entail ``c`` by a clear margin (the
+        ``_margin_verdict`` policy of ``_min_nonnegative``), or None."""
+        if self.solver is None:
+            return None
+        row, const = c.float_row()  # fits a float: it built the model
+        entailed = self._float_verdict(row, const)
+        if entailed is True and c.rel == EQ:
+            entailed = self._float_verdict([(v, -k) for v, k in row], -const)
+        return entailed
+
+    def _float_verdict(self, row, const) -> Optional[bool]:
+        solver = self.solver
+        try:
+            for j in self.obj_cols:
+                solver.changeColCost(j, 0.0)
+            self.obj_cols = [self.index[v] for v, _ in row]
+            for j, (_, k) in zip(self.obj_cols, row):
+                solver.changeColCost(j, k)
+            solver.run()
+            return _margin_verdict(_highs_outcome(solver, 1.0, const))
+        except Exception:  # pragma: no cover - solver hiccup
+            self.solver = None
+            return None
+
+
 def minimize_constraints(
     cons: Sequence[Constraint], known=frozenset()
-) -> Optional[List[Constraint]]:
-    """Batch redundancy elimination over one shared float-LP model.
+) -> List[Constraint]:
+    """The fast-kernel redundancy sweep: the reference loop of
+    ``Polyhedron.minimized()``, with the rows that ``_Sweep`` decides
+    taken out of it, and ``_SweepModel``'s float verdict asked before
+    the exact check.  ``known``: rows the rest of ``cons`` does not
+    entail.
 
-    Fast-kernel twin of the reference loop in ``Polyhedron.minimized()``:
-    for each constraint, entailment from the remaining system is tested
-    by deactivating its row (bounds to +-inf) and minimizing its
-    expression over ONE HiGHS model that is modified and warm-started
-    between queries -- large sweeps pay the model build once instead of
-    per check.  Dropped rows stay deactivated, so query ``i`` sees
-    exactly ``kept + cons[i+1:]``, the reference's ``rest``, less rows
-    that rest entails.
-
-    The model is first solved as a max-slack probe: one more column
-    ``t`` in ``[0, 1]`` is subtracted from every GE row and maximized,
-    then fixed to 0 for the sweep.  An infeasible probe means an
-    infeasible system, which needs the reference path (its
-    component-restricted entailment can answer differently than the
-    whole-system LP would).  A probe value above ``_CLEAR`` shows that
-    no GE row is an implicit equality, and lets ``_Sweep.eq_rank``
-    decide the equalities by rank.
-
-    Rows ``_Sweep`` decides take no LP: ``known`` rows stay active,
-    and the GE rows a later row dominates are freed up front, before
-    the first GE query.  For the others, clear-margin float verdicts
-    decide directly (the ``_margin_verdict`` policy of
-    ``_min_nonnegative``); ambiguous ones delegate to :func:`entails` on
-    the reference path.  Returns the kept list, or None when the shared
-    model cannot be built or misbehaves -- the caller then runs the
-    exact loop.
+    A dropped row leaves the model for good, and the row asked about
+    leaves it for its query, so query ``i`` sees ``kept + cons[i+1:]``,
+    the reference's rest, less rows that rest entails (the GE rows
+    ``_Sweep`` dooms are freed before the first GE query).  Ambiguous
+    float verdicts, and every row once the model has retired, go to
+    :func:`entails` as in the reference; the sweep never restarts.
     """
-    if _highs_core is None:
-        return None
-    variables = sorted(set().union(set(), *[c.support() for c in cons]))
-    index = {v: i for i, v in enumerate(variables)}
-    if not index:
-        return None
-    inf = _highs_core.kHighsInf
-    model = _highs_solve(cons, index, {}, options=_SWEEP_OPTIONS, margin=True)
-    if model is None:
-        return None
-    solver, lower, upper = model
-    if solver.getModelStatus() != _highs_core.HighsModelStatus.kOptimal:
-        return None
-    interior = -solver.getObjectiveValue() > _CLEAR
-    try:
-        solver.changeColCost(len(index), 0.0)
-        solver.changeColBounds(len(index), 0.0, 0.0)
-    except Exception:  # pragma: no cover - solver hiccup
-        return None
-
-    obj_cols: List[int] = []
-
-    def float_min(row, const) -> Optional[Tuple[str, float]]:
-        try:
-            for j in obj_cols:
-                solver.changeColCost(j, 0.0)
-            obj_cols.clear()
-            for var, k in row:
-                j = index[var]
-                solver.changeColCost(j, k)
-                obj_cols.append(j)
-            solver.run()
-        except Exception:  # pragma: no cover - solver hiccup
-            return None
-        return _highs_outcome(solver, 1.0, const)
-
-    kept: List[Constraint] = []
     cons = list(cons)
     sweep = _Sweep(cons, known)
+    model = _SweepModel(cons)
+    kept: List[Constraint] = []
     for i, c in enumerate(cons):
         keep = sweep.verdict(i, kept)
-        if keep is None and interior and c.rel == EQ:
+        if keep is None and model.interior and c.rel == EQ:
             keep = sweep.eq_rank(i, kept)
-        try:
-            if i == sweep.first_ge:
-                for j in sweep.doomed:
-                    solver.changeRowBounds(j, -inf, inf)
-            if not keep:
-                solver.changeRowBounds(i, -inf, inf)
-        except Exception:  # pragma: no cover
-            return None
+        if i == sweep.first_ge:
+            model.set_rows(sweep.doomed, False)
+        if keep is not True:
+            model.set_rows((i,), False)
         if keep is None:
-            row, const = c.float_row()  # fits a float: it built the model
-            entailed = _margin_verdict(float_min(row, const))
-            if entailed is True and c.rel == EQ:
-                negated = [(var, -k) for var, k in row]
-                entailed = _margin_verdict(float_min(negated, -const))
-            if entailed is None:  # ambiguous: decide exactly as the reference
+            entailed = model.entailed(c)
+            if entailed is None:
                 entailed = entails(kept + cons[i + 1:], c, assume_feasible=True)
             keep = not entailed
             if keep:
-                try:
-                    solver.changeRowBounds(i, lower[i], upper[i])
-                except Exception:  # pragma: no cover
-                    return None
+                model.set_rows((i,), True)
         if keep:
             kept.append(c)
             sweep.keep(i)

@@ -364,10 +364,10 @@ def _fm_like_system(rng):
 )
 def test_highs_sweep_matches_reference_and_exact(monkeypatch, count):
     """``minimize_constraints`` (one warm HiGHS model per sweep) keeps
-    what the reference loop keeps, and the exact-only path (HiGHS not
-    loaded) gives the same minimized systems and feasibility verdicts.
-    The exact-only path takes up to seconds per system, so it checks
-    every eighth one."""
+    what the reference loop keeps, on infeasible systems too, and the
+    exact-only path (HiGHS not loaded) gives the same minimized systems
+    and feasibility verdicts.  The exact-only path takes up to seconds
+    per system, so it checks every eighth one."""
     if simplex._highs_core is None:
         pytest.skip("HiGHS is not loaded")
     rng = random.Random(20110604)
@@ -380,10 +380,8 @@ def test_highs_sweep_matches_reference_and_exact(monkeypatch, count):
             assert len(cons) > simplex._INT_DIRECT_MAX
             feasible = is_feasible(cons)
             kept = simplex.minimize_constraints(cons)
-            assert (kept is None) == (not feasible)
-            if kept is not None:
-                with kernels.mode_ctx("reference"):
-                    assert tuple(kept) == Polyhedron(raw).minimized().constraints
+            with kernels.mode_ctx("reference"):
+                assert tuple(kept) == Polyhedron(raw).minimized().constraints
             with_highs.append((feasible, Polyhedron(raw).minimized().constraints))
         monkeypatch.setattr(simplex, "_highs_core", None)
         kernels.set_mode("fast")  # drop the memos filled with HiGHS
@@ -450,8 +448,6 @@ def test_highs_sweep_queries_see_only_rows_still_in_the_system(monkeypatch):
                 continue
             del log[:]
             kept = simplex.minimize_constraints(cons)
-            if kept is None:
-                continue
             swept += 1
             sweep = simplex._Sweep(cons, frozenset())
             sweep._screen([c for c in kept if c.rel == EQ])
@@ -470,3 +466,115 @@ def test_highs_sweep_queries_see_only_rows_still_in_the_system(monkeypatch):
                 still |= {j for j in range(queried) if cons[j] in kept}
                 assert {j for j, on in enumerate(active) if on} == still, (cons, queried)
     assert screened >= 20, screened
+
+
+class _FaultySolver(_RecordingSolver):
+    """A recording solver whose ``fail_at``-th ``run()`` raises, or whose
+    first solve (the sweep's probe) reports no optimum (``refuse``)."""
+
+    def __init__(self, solver, log, fail_at, refuse):
+        super().__init__(solver, log)
+        self._runs = 0
+        self._fail_at = fail_at
+        self._refuse = refuse
+
+    def run(self):
+        self._runs += 1
+        if self._runs == self._fail_at:
+            self._log.append(("run",))
+            raise RuntimeError("injected HiGHS failure")
+        return super().run()
+
+    def getModelStatus(self):
+        if self._refuse and self._runs == 1:
+            return simplex._highs_core.HighsModelStatus.kUnknown
+        return self._solver.getModelStatus()
+
+
+class _FaultyCore(_RecordingCore):
+    """Wraps only the first model built: the sweep's shared one."""
+
+    def __init__(self, core, log, fail_at, refuse):
+        super().__init__(core, log)
+        self._faults = (fail_at, refuse)
+
+    def _Highs(self):
+        if self._faults is None:
+            return self._core._Highs()
+        solver = _FaultySolver(self._core._Highs(), self._log, *self._faults)
+        self._faults = None
+        return solver
+
+
+def _sweep_queries(monkeypatch, cons, fail_at=0, refuse=False):
+    """Sweep ``cons`` with a faulty shared model; the kept rows and the
+    queries in order, ``("highs", row)`` per model solve after the probe
+    and ``("exact", row)`` per exact entailment check."""
+    log = []
+    exact = simplex.entails
+
+    def recording(constraints, candidate, assume_feasible=False):
+        log.append(("exact", cons.index(candidate)))
+        return exact(constraints, candidate, assume_feasible)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_highs_core", _FaultyCore(simplex._highs_core, log, fail_at, refuse))
+        patch.setattr(simplex, "entails", recording)
+        kept = simplex.minimize_constraints(cons)
+    queries, asked, runs = [], None, 0
+    for event in log:
+        if event[0] == "bounds" and event[2] < -1e300:
+            asked = event[1]  # the last row freed: the one being asked
+        elif event[0] == "run":
+            runs += 1
+            if runs > 1:
+                queries.append(("highs", asked))
+        elif event[0] == "exact":
+            queries.append(event)
+    return kept, queries
+
+
+def test_failing_highs_sweep_goes_on_exactly_without_asking_a_row_twice(monkeypatch):
+    """When the shared model's k-th solve raises (the probe for k = 1),
+    or the probe is refused, the sweep decides that row and every later
+    one by exact entailment: it keeps reference mode's tuple, never
+    goes back to an earlier row, and asks each row exactly at most
+    once and never of HiGHS after that."""
+    if simplex._highs_core is None:
+        pytest.skip("HiGHS is not loaded")
+    from tests.test_numeric_polyhedra import _sweep_system
+
+    rng = random.Random(29)
+    systems = failed_mid_sweep = 0
+    with kernels.mode_ctx("fast"):
+        while systems < 8:
+            raw, tags = _sweep_system(rng)
+            cons = list(Polyhedron(raw).constraints)
+            if "large" not in tags or "infeasible" in tags:
+                continue
+            systems += 1
+            with kernels.mode_ctx("reference"):
+                reference = list(Polyhedron(raw).minimized().constraints)
+            _, clean = _sweep_queries(monkeypatch, cons)
+            solves = 1 + sum(1 for kind, _ in clean if kind == "highs")
+            faults = [dict(refuse=True)] + [
+                dict(fail_at=k) for k in sorted({1, 2, (solves + 1) // 2, solves})
+            ]
+            for fault in faults:
+                simplex.clear_caches()
+                kept, queries = _sweep_queries(monkeypatch, cons, **fault)
+                assert kept == reference, (cons, fault)
+                rows = [row for _, row in queries]
+                assert rows == sorted(rows), (cons, fault, queries)
+                exact_rows = [row for kind, row in queries if kind == "exact"]
+                assert len(exact_rows) == len(set(exact_rows)), (cons, fault, queries)
+                if fault.get("fail_at", 0) > 1:
+                    # Nothing is asked of HiGHS after the failed solve.
+                    highs = [i for i, (kind, _) in enumerate(queries) if kind == "highs"]
+                    assert len(highs) == fault["fail_at"] - 1, (cons, fault, queries)
+                    failed_mid_sweep += any(
+                        kind == "exact" and row > queries[highs[-1]][1]
+                        for kind, row in queries)
+                else:
+                    assert all(kind == "exact" for kind, _ in queries), (fault, queries)
+    assert failed_mid_sweep >= 8, failed_mid_sweep
